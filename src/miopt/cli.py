@@ -478,7 +478,7 @@ def main(argv=None) -> int:
         verdict, payload = _HANDLERS[args.command](args)
     except (UsageError, SchemaError, ExprError, GridError, GameError,
             CertificateError, PremiseError, DescentError, OSError,
-            ValueError) as exc:
+            ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     elapsed = time.monotonic() - t0

@@ -262,9 +262,12 @@ class _Parser:
             else:
                 self.pos = save
         try:
-            return float(self.text[start:self.pos])
+            value = float(self.text[start:self.pos])
         except ValueError:
             raise self.error("bad numeric literal") from None
+        if not math.isfinite(value):
+            raise self.error("numeric literal overflows to infinity")
+        return value
 
     def name(self) -> Expr:
         self.skip_ws()
@@ -349,6 +352,45 @@ def eval_expr(e: Expr, u: Sequence[float]) -> float:
         return max(eval_expr(e.left, u), eval_expr(e.right, u))
     if isinstance(e, Min):
         return min(eval_expr(e.left, u), eval_expr(e.right, u))
+    raise TypeError(f"unknown node {type(e)!r}")
+
+
+def eval_points(e: Expr, pts: np.ndarray) -> np.ndarray:
+    """Values (N,) of e at every row of the (N, n) point array.
+
+    Bit-identical to ``eval_expr`` row by row: one numpy operation per
+    node, Python's tie rule for max/min (the first argument wins ties,
+    which decides between -0.0 and 0.0), and Python's own float ``**``
+    for powers, since ``np.power`` can differ from it in the last bit.
+    Floating-point warnings are silenced; callers check finiteness.
+    """
+    with np.errstate(all="ignore"):
+        return _eval_points(e, np.asarray(pts, dtype=float))
+
+
+def _eval_points(e: Expr, pts: np.ndarray) -> np.ndarray:
+    if isinstance(e, Const):
+        return np.full(pts.shape[0], e.value, dtype=float)
+    if isinstance(e, Var):
+        return pts[:, e.index].copy()
+    if isinstance(e, Sum):
+        return _eval_points(e.left, pts) + _eval_points(e.right, pts)
+    if isinstance(e, Scale):
+        return e.alpha * _eval_points(e.operand, pts)
+    if isinstance(e, Product):
+        return _eval_points(e.left, pts) * _eval_points(e.right, pts)
+    if isinstance(e, Power):
+        base = _eval_points(e.base, pts)
+        k = e.exponent
+        return np.fromiter((x ** k for x in base.tolist()), dtype=float, count=base.size)
+    if isinstance(e, Abs):
+        return np.abs(_eval_points(e.operand, pts))
+    if isinstance(e, Max):
+        a, b = _eval_points(e.left, pts), _eval_points(e.right, pts)
+        return np.where(b > a, b, a)
+    if isinstance(e, Min):
+        a, b = _eval_points(e.left, pts), _eval_points(e.right, pts)
+        return np.where(b < a, b, a)
     raise TypeError(f"unknown node {type(e)!r}")
 
 

@@ -3,13 +3,13 @@ exhaustive implication checks used to confirm derived guarantees."""
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .expr import eval_expr
+from .expr import IVFunction, eval_points
 from .problem import MIOProblem, as_epsilon, feasible
 
 GRID_CAP = 10**7
@@ -58,13 +58,25 @@ def grid_points(box_lo: Sequence[float], box_hi: Sequence[float], spec: GridSpec
     for lo, hi in zip(box_lo, box_hi):
         t = np.arange(spec.points_per_dim, dtype=float)
         axes.append(lo + t * (hi - lo) / (spec.points_per_dim - 1))
-    return [np.array(p) for p in itertools.product(*axes)]
+    # "ij" indexing raveled in C order varies the last axis fastest
+    grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    return list(grid)
+
+
+def grid_array(rows: list[np.ndarray], dim: int) -> np.ndarray:
+    """The (N, dim) array of the rows that grid_points returns."""
+    return np.concatenate(rows).reshape(len(rows), dim)
 
 
 def feasible_grid(problem: MIOProblem, spec: GridSpec) -> list[np.ndarray]:
     """All grid points satisfying the constraints (may be empty)."""
-    return [p for p in grid_points(problem.box_lo, problem.box_hi, spec)
-            if feasible(problem, p)]
+    pts = grid_array(grid_points(problem.box_lo, problem.box_hi, spec), problem.dim)
+    tau = problem.tolerances.tau_feas
+    # each constraint is evaluated only where the earlier ones hold, as
+    # the short-circuiting scalar ``feasible`` does
+    for g in problem.constraints:
+        pts = pts[eval_points(g, pts) <= tau]
+    return list(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -78,20 +90,39 @@ class ValueTable:
     widths: np.ndarray     # (m, N)
 
 
+class IntervalError(ValueError):
+    """An objective's interval is invalid (lower > upper) or has a
+    non-finite endpoint at a point."""
+
+    def __init__(self, objective: int, point: list, lower: float, upper: float):
+        self.objective = objective
+        self.point = point
+        if math.isfinite(lower) and math.isfinite(upper):
+            self.detail = f"lower {lower} > upper {upper}"
+        else:
+            self.detail = f"non-finite endpoint: lower {lower}, upper {upper}"
+        super().__init__(f"IVF invalid at {point}: {self.detail}")
+
+
+def endpoint_values(objectives: Sequence[IVFunction], pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper endpoint values (m, N) of every objective at every
+    row of pts.  Raises IntervalError at the first point in order (and the
+    lowest objective index there) whose interval is invalid or non-finite."""
+    lower = np.array([eval_points(f.lower, pts) for f in objectives])
+    upper = np.array([eval_points(f.upper, pts) for f in objectives])
+    bad = (lower > upper) | ~np.isfinite(lower) | ~np.isfinite(upper)
+    cols = np.flatnonzero(bad.any(axis=0))
+    if cols.size:
+        i = int(cols[0])
+        k = int(np.flatnonzero(bad[:, i])[0])
+        raise IntervalError(k, pts[i].tolist(), float(lower[k, i]), float(upper[k, i]))
+    return lower, upper
+
+
 def value_table(problem: MIOProblem, pts: Sequence[np.ndarray]) -> ValueTable:
-    n_pts = len(pts)
-    m = problem.n_objectives
-    centers = np.empty((m, n_pts))
-    widths = np.empty((m, n_pts))
-    for i, p in enumerate(pts):
-        for k, f in enumerate(problem.objectives):
-            lo = eval_expr(f.lower, p)
-            hi = eval_expr(f.upper, p)
-            if lo > hi:
-                raise ValueError(f"IVF invalid at {list(p)}: lower {lo} > upper {hi}")
-            centers[k, i] = (lo + hi) / 2.0
-            widths[k, i] = (hi - lo) / 2.0
-    return ValueTable(np.array(pts, dtype=float), centers, widths)
+    arr = np.array(pts, dtype=float).reshape(len(pts), problem.dim)
+    lower, upper = endpoint_values(problem.objectives, arr)
+    return ValueTable(arr, (lower + upper) / 2.0, (upper - lower) / 2.0)
 
 
 def _dominators(table: ValueTable, idx: int, shifts: np.ndarray) -> np.ndarray:

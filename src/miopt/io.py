@@ -12,9 +12,10 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .expr import ExprError, IVFunction, eval_expr, parse_expr, to_string
+from .expr import ExprError, IVFunction, parse_expr, to_string
 from .game import Game, Player
-from .grid import GridSpec, default_points_per_dim, grid_points
+from .grid import (GridSpec, IntervalError, default_points_per_dim, endpoint_values,
+                   grid_array, grid_points)
 from .problem import DEFAULT_TOLERANCES, MIOProblem, Tolerances
 
 
@@ -112,15 +113,15 @@ def _constraints(raw: Any, dim: int, path: str):
 
 
 def _check_validity(objectives, box_lo, box_hi, ppd: int, where: str) -> None:
-    spec = GridSpec(ppd)
-    for p in grid_points(box_lo, box_hi, spec):
-        for k, f in enumerate(objectives):
-            lo = eval_expr(f.lower, p)
-            hi = eval_expr(f.upper, p)
-            if lo > hi:
-                raise SchemaError(
-                    f"{where}: objective {k} invalid at grid point {p.tolist()}: "
-                    f"lower {lo} > upper {hi}")
+    pts = grid_array(grid_points(box_lo, box_hi, GridSpec(ppd)), len(box_lo))
+    try:
+        endpoint_values(objectives, pts)
+    except IntervalError as exc:
+        raise SchemaError(f"{where}: objective {exc.objective} invalid at grid point "
+                          f"{exc.point}: {exc.detail}") from exc
+    except ArithmeticError as exc:
+        raise SchemaError(f"{where}: objectives cannot be evaluated on the "
+                          f"load-time grid: {exc}") from exc
 
 
 def problem_from_dict(d: dict, path: str = "problem") -> MIOProblem:
@@ -136,6 +137,8 @@ def problem_from_dict(d: dict, path: str = "problem") -> MIOProblem:
     box_hi = _float_list(_require(box, "hi", f"{path}.box"), f"{path}.box.hi")
     tolerances = _tolerances(d.get("tolerances"), f"{path}.tolerances")
     ppd = _grid_ppd(d.get("grid"), dim, f"{path}.grid")
+    if len(box_lo) != dim or len(box_hi) != dim:
+        raise SchemaError(f"{path}.box: expected {dim} bounds in lo and hi")
     _check_validity(objectives, box_lo, box_hi, ppd, path)
     metadata = {"objective_sources": obj_src, "constraint_sources": con_src,
                 "points_per_dim": ppd}
