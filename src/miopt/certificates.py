@@ -21,19 +21,11 @@ import numpy as np
 
 from .expr import Polytope, clarke_subdiff, eval_expr, weak_gen_gradient
 from .grid import GridSpec, feasible_grid
-from .problem import (MIOProblem, active_set, as_epsilon, feasible,
-                      is_weak_eps_minimal, is_weak_minimal, restrict_to_ball)
+from .problem import (CertificateError, MIOProblem, PremiseError, active_set, as_epsilon,
+                      feasible, is_weak_eps_minimal, is_weak_minimal, restrict_to_ball)
 
 MAX_SOLVER_ITERS = 10**5
 DEFAULT_BCQ_TAU = 1e-6
-
-
-class CertificateError(ValueError):
-    pass
-
-
-class PremiseError(CertificateError):
-    pass
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 import time
 
 import numpy as np
 
 from . import certificates, evp, game as game_mod, grid as grid_mod, io as io_mod
-from .certificates import CertificateError, PremiseError
+from .certificates import CertificateError
 from .evp import DescentError
 from .expr import ExprError
 from .game import Game, GameError
@@ -470,14 +471,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options that take comma- or semicolon-separated numbers
+_VECTOR_FLAGS = ("--point", "--eps", "--start", "--x0", "--xs", "--eps-seq",
+                 "--inflate", "--cor41-eps")
+_NEGATIVE = re.compile(r"-\.?\d")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """argparse reads a value such as -0.3,0.1 as an unknown flag; join a
+    vector option to its value when the value starts with a minus sign."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in _VECTOR_FLAGS and _NEGATIVE.match(tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     t0 = time.monotonic()
     try:
         verdict, payload = _HANDLERS[args.command](args)
     except (UsageError, SchemaError, ExprError, GridError, GameError,
-            CertificateError, PremiseError, DescentError, OSError,
+            CertificateError, DescentError, OSError,
             ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

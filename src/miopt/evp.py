@@ -15,17 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import GridSpec, ValueTable, feasible_grid, value_table
-from .problem import (MIOProblem, as_epsilon, is_weak_eps_minimal,
-                      is_weak_eps_quasi_minimal)
-
-
-class DescentError(ValueError):
-    pass
-
-
-class PremiseError(DescentError):
-    """The operation's hypothesis fails at the supplied start point."""
+from .grid import GridSpec, ValueTable, dominated_by, feasible_grid, value_table
+from .problem import DescentError, MIOProblem, PremiseError, as_epsilon
 
 
 @dataclass
@@ -63,15 +54,32 @@ def _grid_index(table: ValueTable, u: Sequence[float]) -> int:
     return i
 
 
-def _prepare(problem: MIOProblem, spec: GridSpec) -> tuple[list, ValueTable, np.ndarray, np.ndarray, np.ndarray]:
+def _prepare(problem: MIOProblem, spec: GridSpec) -> ValueTable:
     pts = feasible_grid(problem, spec)
     if not pts:
         raise DescentError("feasible grid is empty")
-    table = value_table(problem, pts)
-    sum_c = np.sum(table.centers, axis=0)
-    sum_w = np.sum(table.widths, axis=0)
-    merit = sum_c + sum_w
-    return pts, table, sum_c, sum_w, merit
+    return value_table(problem, pts)
+
+
+def _summed(table: ValueTable) -> tuple[ValueTable, np.ndarray]:
+    """The one-objective table of sum_k F_k^c and sum_k F_k^w, and the
+    merit sum_k (F_k^c + F_k^w) that every descent step decreases."""
+    sums = ValueTable(table.points, np.sum(table.centers, axis=0)[None, :],
+                      np.sum(table.widths, axis=0)[None, :])
+    return sums, sums.centers[0] + sums.widths[0]
+
+
+def _t_map(table: ValueTable, i: int, rate: float) -> np.ndarray:
+    """T(u) without u: the grid points whose values plus the handicap
+    [0, rate*||z - u||] weakly CW-dominate those at u = row i."""
+    mask = dominated_by(table, i, np.full(table.centers.shape[0], rate), quasi=True, strict=False)
+    mask[i] = False
+    return mask
+
+
+def _check_eps(earr: np.ndarray) -> None:
+    if not float(np.sum(earr)) > 0:
+        raise ValueError("eps must be nonzero")
 
 
 def descent_eps_minimal(problem: MIOProblem, eps, spec: GridSpec,
@@ -80,19 +88,23 @@ def descent_eps_minimal(problem: MIOProblem, eps, spec: GridSpec,
     sum F(u)} until it empties; the endpoint is weak eps-minimal on the
     grid (per-objective domination implies sum domination)."""
     earr = as_epsilon(eps, problem.n_objectives)
-    eps_sum = float(np.sum(earr))
-    if eps_sum <= 0:
-        raise ValueError("eps must be nonzero")
-    pts, table, sum_c, sum_w, merit = _prepare(problem, spec)
-    i = _grid_index(table, start)
+    _check_eps(earr)
+    table = _prepare(problem, spec)
+    i, trace = _descent(table, earr, _grid_index(table, start))
+    return table.points[i].copy(), trace
 
+
+def _descent(table: ValueTable, earr: np.ndarray, i: int) -> tuple[int, DescentTrace]:
+    eps_sum = float(np.sum(earr))
+    sums, merit = _summed(table)
+    handicap = np.array([eps_sum])
     trace = DescentTrace()
     trace.iterates.append(table.points[i].copy())
     trace.merits.append(float(merit[i]))
     # each step drops sum F^w by more than eps_sum / 2
-    max_iters = int(2.0 * sum_w[i] / eps_sum) + 2
+    max_iters = int(2.0 * sums.widths[0, i] / eps_sum) + 2
     for _ in range(max_iters):
-        in_a = (sum_c + eps_sum / 2.0 < sum_c[i]) & (sum_w + eps_sum / 2.0 < sum_w[i])
+        in_a = dominated_by(sums, i, handicap)
         if not np.any(in_a):
             trace.reason = "A(u) empty"
             break
@@ -103,17 +115,9 @@ def descent_eps_minimal(problem: MIOProblem, eps, spec: GridSpec,
     else:
         raise DescentError("descent exceeded its guaranteed iteration bound")
 
-    point = table.points[i].copy()
-    if not is_weak_eps_minimal(problem, point, earr, pts):
+    if np.any(dominated_by(table, i, earr)):
         raise DescentError("descent endpoint failed the grid eps-minimality check")
-    return point, trace
-
-
-def _t_map_mask(sum_c: np.ndarray, sum_w: np.ndarray, dists: np.ndarray,
-                rate: float, i: int) -> np.ndarray:
-    # non-strict CW order with the distance-scaled shift [0, rate*d]
-    shift = rate * dists / 2.0
-    return (sum_c + shift <= sum_c[i]) & (sum_w + shift <= sum_w[i])
+    return i, trace
 
 
 def evp_descent(problem: MIOProblem, eps, spec: GridSpec,
@@ -126,15 +130,19 @@ def evp_descent(problem: MIOProblem, eps, spec: GridSpec,
     scalar bound sqrt(eps).
     """
     earr = as_epsilon(eps, problem.n_objectives)
-    eps_sum = float(np.sum(earr))
-    if eps_sum <= 0:
-        raise ValueError("eps must be nonzero")
-    rate = float(np.sum(np.sqrt(earr)))
-    pts, table, sum_c, sum_w, merit = _prepare(problem, spec)
-    i0 = _grid_index(table, x0)
+    _check_eps(earr)
+    table = _prepare(problem, spec)
+    _, cert = _evp(table, earr, _grid_index(table, x0), x0)
+    return cert.point, cert
 
-    dominated = (sum_c + eps_sum / 2.0 < sum_c[i0]) & (sum_w + eps_sum / 2.0 < sum_w[i0])
-    if np.any(dominated):
+
+def _evp(table: ValueTable, earr: np.ndarray, i0: int,
+         x0: Sequence[float]) -> tuple[int, EvpCertificate]:
+    eps_sum = float(np.sum(earr))
+    rate = float(np.sum(np.sqrt(earr)))
+    sums, merit = _summed(table)
+    handicap = np.array([eps_sum])
+    if np.any(dominated_by(sums, i0, handicap)):
         raise PremiseError("x0 violates the premise: some grid point sum-dominates it "
                            "(run descent_eps_minimal first)")
 
@@ -143,9 +151,7 @@ def evp_descent(problem: MIOProblem, eps, spec: GridSpec,
     trace.iterates.append(table.points[i].copy())
     trace.merits.append(float(merit[i]))
     while True:
-        dists = np.linalg.norm(table.points - table.points[i], axis=1)
-        mask = _t_map_mask(sum_c, sum_w, dists, rate, i)
-        mask[i] = False
+        mask = _t_map(sums, i, rate)
         if not np.any(mask):
             trace.reason = "T(u) = {u}"
             break
@@ -156,15 +162,12 @@ def evp_descent(problem: MIOProblem, eps, spec: GridSpec,
         trace.merits.append(float(merit[i]))
 
     u_bar = table.points[i].copy()
-    a_holds = not np.any((sum_c + eps_sum / 2.0 < sum_c[i]) & (sum_w + eps_sum / 2.0 < sum_w[i]))
+    a_holds = not np.any(dominated_by(sums, i, handicap))
     b_value = float(np.linalg.norm(np.asarray(x0, dtype=float) - u_bar))
-    b_bound = eps_sum / rate
-    dists = np.linalg.norm(table.points - u_bar, axis=1)
-    shift = rate * dists / 2.0
-    c_viol = (sum_c + shift < sum_c[i]) & (sum_w + shift < sum_w[i])
+    c_holds = not np.any(dominated_by(sums, i, np.array([rate]), quasi=True))
     cert = EvpCertificate(point=u_bar, a_holds=a_holds, b_value=b_value,
-                          b_bound=b_bound, c_holds=not np.any(c_viol), trace=trace)
-    return u_bar, cert
+                          b_bound=eps_sum / rate, c_holds=c_holds, trace=trace)
+    return i, cert
 
 
 def evp_descent_vector(problem: MIOProblem, epsilon: float, spec: GridSpec,
@@ -180,10 +183,11 @@ def evp_descent_vector(problem: MIOProblem, epsilon: float, spec: GridSpec,
     m = problem.n_objectives
     earr = np.full(m, float(epsilon))
     root = float(np.sqrt(epsilon))
-    pts, table, sum_c, sum_w, merit = _prepare(problem, spec)
+    table = _prepare(problem, spec)
+    _, merit = _summed(table)
     i0 = _grid_index(table, x0)
 
-    if not is_weak_eps_minimal(problem, table.points[i0], earr, pts):
+    if np.any(dominated_by(table, i0, earr)):
         raise PremiseError("x0 is not weak eps-minimal on the grid")
 
     trace = DescentTrace()
@@ -191,11 +195,7 @@ def evp_descent_vector(problem: MIOProblem, epsilon: float, spec: GridSpec,
     trace.iterates.append(table.points[i].copy())
     trace.merits.append(float(merit[i]))
     while True:
-        dists = np.linalg.norm(table.points - table.points[i], axis=1)
-        shift = root * dists / 2.0
-        mask = np.all(table.centers + shift[None, :] <= table.centers[:, i][:, None], axis=0) \
-            & np.all(table.widths + shift[None, :] <= table.widths[:, i][:, None], axis=0)
-        mask[i] = False
+        mask = _t_map(table, i, root)
         if not np.any(mask):
             trace.reason = "T(u) = {u}"
             break
@@ -205,9 +205,9 @@ def evp_descent_vector(problem: MIOProblem, epsilon: float, spec: GridSpec,
         trace.merits.append(float(merit[i]))
 
     u_bar = table.points[i].copy()
-    a_holds = is_weak_eps_minimal(problem, u_bar, earr, pts)
+    a_holds = not np.any(dominated_by(table, i, earr))
     b_value = float(np.linalg.norm(np.asarray(x0, dtype=float) - u_bar))
-    c_holds = is_weak_eps_quasi_minimal(problem, u_bar, np.full(m, root), pts)
+    c_holds = not np.any(dominated_by(table, i, np.full(m, root), quasi=True))
     cert = EvpCertificate(point=u_bar, a_holds=a_holds, b_value=b_value,
                           b_bound=root, c_holds=c_holds, trace=trace)
     return u_bar, cert
@@ -227,21 +227,20 @@ def quasi_existence(problem: MIOProblem, eps, spec: GridSpec) -> QuasiExistenceR
     grid-verified weak sqrt(eps)-quasi-minimal, with the extra ball
     check when eps is uniform."""
     earr = as_epsilon(eps, problem.n_objectives)
-    if not np.any(earr > 0):
-        raise ValueError("eps must be nonzero")
-    pts, table, _, _, _ = _prepare(problem, spec)
-    start = table.points[0]
-    x0, d_trace = descent_eps_minimal(problem, earr, spec, start)
-    u_bar, cert = evp_descent(problem, earr, spec, x0)
+    _check_eps(earr)
+    # one feasible grid and value table serve every stage
+    table = _prepare(problem, spec)
+    i0, d_trace = _descent(table, earr, 0)
+    i, cert = _evp(table, earr, i0, table.points[i0])
+    u_bar = cert.point
 
-    eps_prime = np.sqrt(earr)
-    qm_ok = is_weak_eps_quasi_minimal(problem, u_bar, eps_prime, pts)
+    qm_ok = not np.any(dominated_by(table, i, np.sqrt(earr), quasi=True))
 
     ball_check = None
     if np.all(earr == earr[0]) and earr[0] > 0:
         eps0 = float(earr[0])
         root = float(np.sqrt(eps0))
-        ball = [p for p in pts if np.linalg.norm(p - u_bar) <= root]
-        ball_check = is_weak_eps_minimal(problem, u_bar, np.full(len(earr), eps0), ball)
+        in_ball = np.linalg.norm(table.points - u_bar, axis=1) <= root
+        ball_check = not np.any(dominated_by(table, i, np.full(len(earr), eps0)) & in_ball)
     return QuasiExistenceReport(point=u_bar, qm_verified=qm_ok, ball_check=ball_check,
                                 descent_trace=d_trace, evp_certificate=cert)

@@ -1,10 +1,37 @@
 """Brute-force grid oracle: canonical candidate generation plus the
-exhaustive implication checks used to confirm derived guarantees."""
+exhaustive implication checks used to confirm derived guarantees.
+
+Every domination question over a value table goes through one exact
+kernel, ``dominated_by``: table row j dominates row i when
+c_k(j) + s_k/2 < c_k(i) and w_k(j) + s_k/2 < w_k(i) for every objective k,
+with the shift s_k = eps_k, or eps_k * ||z_j - z_i|| for the quasi
+variant.  ``dominated`` answers "has row i any dominator?" for many rows
+at once.  It runs the kernel on every candidate it tries, so it never
+approximates; two prefilters only decide which candidates to try:
+
+- The Pareto front.  ``ValueTable.front`` is the set M of minimal rows:
+  every row has a row of M that is <= it in every centre and width.
+  Floating-point addition is monotone (x <= y implies fl(x + h) <=
+  fl(y + h)), so if row j dominates row i under a constant shift h, the
+  front row f <= j does too: fl(f + h) <= fl(j + h) < i.  The front alone
+  therefore decides every constant-shift (eps) question.  Shifts are
+  non-negative, so fl(x + s) >= x and a dominator of row i lies strictly
+  below it; a front row, being minimal, thus has no dominator at all.
+- Lattice neighbours.  By the same inequality a quasi dominator of row i
+  also dominates it strictly with no shift, and by the front argument
+  some front row then does.  A row that no front row strictly dominates
+  is thus quasi-minimal without a scan.  For the other rows the 3^n - 1
+  rows next to it on the per-axis coordinate ranks are tried first,
+  since their shifts are the smallest; a row for which none of them is a
+  dominator is checked against every row that strictly dominates it.
+"""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -80,7 +107,7 @@ def feasible_grid(problem: MIOProblem, spec: GridSpec) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Precomputed value tables (the heavy scans are quadratic in grid size)
+# Precomputed value tables and the domination primitive
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -88,6 +115,59 @@ class ValueTable:
     points: np.ndarray     # (N, n)
     centers: np.ndarray    # (m, N)
     widths: np.ndarray     # (m, N)
+
+    @cached_property
+    def cw(self) -> np.ndarray:
+        """(N, 2, m): row i holds the centres and the widths at point i."""
+        return np.ascontiguousarray(np.stack([self.centers.T, self.widths.T], axis=1))
+
+    @cached_property
+    def front(self) -> tuple[np.ndarray, np.ndarray]:
+        """(front, cover): the indices M of the minimal centre/width rows,
+        one per set of equal rows, and for every row i a row cover[i] of M
+        that is <= it in every centre and width (cover[f] = f on M).
+
+        Rows are taken in order of value sum, ties broken by the values:
+        a row <= another row comes first, since floating-point sums are
+        monotone too.  Each pass makes the first remaining row a front row
+        and drops every remaining row it is <= to.  Values are finite."""
+        flat = self.cw.reshape(len(self.points), 2 * len(self.centers))
+        idx = np.lexsort((*flat.T[::-1], flat.sum(axis=1)))
+        vals = flat[idx]
+        cover = np.empty(len(flat), dtype=np.intp)
+        front = []
+        while idx.size:
+            below = np.all(vals >= vals[0], axis=1)
+            below[0] = True
+            cover[idx[below]] = idx[0]
+            front.append(idx[0])
+            keep = ~below
+            idx, vals = idx[keep], vals[keep]
+        return np.array(front, dtype=np.intp), cover
+
+    @cached_property
+    def _lattice(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(keys, order, sorted keys, strides): each point's per-axis
+        coordinate ranks, shifted by one and packed into one integer."""
+        ranks = [np.unique(col, return_inverse=True) for col in self.points.T]
+        strides = np.ones(len(ranks), dtype=np.int64)
+        for a in range(len(ranks) - 2, -1, -1):
+            strides[a] = strides[a + 1] * (len(ranks[a + 1][0]) + 2)
+        keys = np.zeros(len(self.points), dtype=np.int64)
+        for (_, inv), stride in zip(ranks, strides):
+            keys += (inv.reshape(-1) + 1) * stride
+        order = np.argsort(keys, kind="stable")
+        return keys, order, keys[order], strides
+
+    def _neighbours(self, rows: np.ndarray, offset: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """(j, found): for each row, the row whose coordinate ranks differ
+        from its own by offset, where found.  Any row returned is only a
+        candidate, so key overflow on huge irregular tables costs no
+        correctness."""
+        keys, order, sorted_keys, strides = self._lattice
+        want = keys[rows] + int(np.dot(offset, strides))
+        pos = np.minimum(np.searchsorted(sorted_keys, want), len(sorted_keys) - 1)
+        return order[pos], sorted_keys[pos] == want
 
 
 class IntervalError(ValueError):
@@ -125,38 +205,84 @@ def value_table(problem: MIOProblem, pts: Sequence[np.ndarray]) -> ValueTable:
     return ValueTable(arr, (lower + upper) / 2.0, (upper - lower) / 2.0)
 
 
-def _dominators(table: ValueTable, idx: int, shifts: np.ndarray) -> np.ndarray:
-    """Boolean mask of table points whose shifted values strictly
-    CW-dominate point idx in every objective; shifts is (m,) or (m, N)."""
-    cu = table.centers[:, idx][:, None]
-    wu = table.widths[:, idx][:, None]
-    if shifts.ndim == 1:
-        shifts = shifts[:, None]
-    dom_c = table.centers + shifts / 2.0 < cu
-    dom_w = table.widths + shifts / 2.0 < wu
-    return np.all(dom_c & dom_w, axis=0)
+# elements per temporary array of the blocked all-pairs comparisons
+BLOCK = 2**15
+
+
+def dominated_by(table: ValueTable, i, eps: np.ndarray, j=slice(None), *,
+                 quasi: bool = False, strict: bool = True) -> np.ndarray:
+    """Whether row j, after the handicap [0, s_k], CW-dominates row i in
+    every objective k: c_k(j) + s_k/2 < c_k(i) and w_k(j) + s_k/2 < w_k(i)
+    (<= when not strict), with s_k = eps_k, or eps_k * ||z_j - z_i|| when
+    quasi.  Elementwise over the broadcast shapes of the row indices i and
+    j; by default j is every row, giving the mask of i's dominators."""
+    vi, vj = table.cw[i], table.cw[j]
+    if quasi:
+        dists = np.linalg.norm(table.points[j] - table.points[i], axis=-1)
+        half = (eps * dists[..., None] / 2.0)[..., None, :]
+    else:
+        half = eps / 2.0
+    shifted = vj + half
+    return np.all(shifted < vi if strict else shifted <= vi, axis=(-2, -1))
+
+
+def _any_dominator(table: ValueTable, rows: np.ndarray, cands: np.ndarray,
+                   eps: np.ndarray) -> np.ndarray:
+    """For each of rows, whether some row of cands dominates it strictly
+    under the constant shift eps."""
+    out = np.zeros(rows.size, dtype=bool)
+    step = max(1, BLOCK // max(1, cands.size * 2 * table.centers.shape[0]))
+    for s in range(0, rows.size, step):
+        out[s:s + step] = dominated_by(table, rows[s:s + step, None], eps,
+                                       cands[None, :]).any(axis=1)
+    return out
+
+
+def dominated(table: ValueTable, eps, quasi: bool = False, rows=None) -> np.ndarray:
+    """For each row (every row, or the given row indices), whether some
+    table row strictly CW-dominates it after the handicap [0, eps_k], or
+    [0, eps_k * distance] when quasi, for eps >= 0.  Exact; the module
+    docstring says why the prefilters are."""
+    eps = np.asarray(eps, dtype=float)
+    idx = np.arange(len(table.points)) if rows is None else np.asarray(rows, dtype=np.intp)
+    front, cover = table.front
+    out = np.zeros(idx.size, dtype=bool)
+    # a dominator lies strictly below its row (eps >= 0): front rows have none
+    live = np.flatnonzero(cover[idx] != idx)
+    if not quasi:
+        out[live] = dominated_by(table, idx[live], eps, cover[idx[live]])
+        live = live[~out[live]]
+        out[live] = _any_dominator(table, idx[live], front, eps)
+        return out
+    # only rows with an unshifted strict dominator can have a quasi one
+    live = live[dominated(table, np.zeros_like(eps), rows=idx[live])]
+    # lattice neighbours first: theirs are the smallest shifts
+    for offset in itertools.product((-1, 0, 1), repeat=table.points.shape[1]):
+        if not live.size:
+            break
+        if not any(offset):
+            continue
+        j, found = table._neighbours(idx[live], offset)
+        hit = np.zeros(live.size, dtype=bool)
+        hit[found] = dominated_by(table, idx[live[found]], eps, j[found], quasi=True)
+        out[live[hit]] = True
+        live = live[~hit]
+    # the rest against all their unshifted strict dominators
+    zero = np.zeros_like(eps)
+    for k in live:
+        cands = np.flatnonzero(dominated_by(table, idx[k], zero))
+        out[k] = np.any(dominated_by(table, idx[k], eps, cands, quasi=True))
+    return out
 
 
 def quasi_minimal_mask(problem: MIOProblem, table: ValueTable, eps) -> np.ndarray:
     """Membership of each table point in QM(F, table, eps)."""
-    earr = as_epsilon(eps, problem.n_objectives)
-    n_pts = table.points.shape[0]
-    out = np.empty(n_pts, dtype=bool)
-    for i in range(n_pts):
-        dists = np.linalg.norm(table.points - table.points[i], axis=1)
-        shifts = earr[:, None] * dists[None, :]
-        out[i] = not np.any(_dominators(table, i, shifts))
-    return out
+    return ~dominated(table, as_epsilon(eps, problem.n_objectives), quasi=True)
 
 
 def eps_minimal_mask(problem: MIOProblem, table: ValueTable, eps) -> np.ndarray:
     """Membership of each table point in M(F, table, eps)."""
-    earr = as_epsilon(eps, problem.n_objectives)
-    n_pts = table.points.shape[0]
-    out = np.empty(n_pts, dtype=bool)
-    for i in range(n_pts):
-        out[i] = not np.any(_dominators(table, i, earr))
-    return out
+    return ~dominated(table, as_epsilon(eps, problem.n_objectives))
 
 
 # ---------------------------------------------------------------------------
@@ -189,15 +315,15 @@ def check_prop_2_1(problem: MIOProblem, eps0: float, spec: GridSpec) -> Prop21Re
     table = value_table(problem, pts)
     root = float(np.sqrt(eps0))
     m = problem.n_objectives
-    qm = quasi_minimal_mask(problem, table, np.full(m, root))
+    qm = np.flatnonzero(quasi_minimal_mask(problem, table, np.full(m, root)))
+    report.checked = int(qm.size)
     eps_shift = np.full(m, eps0)
-    for i in np.flatnonzero(qm):
-        report.checked += 1
-        dists = np.linalg.norm(table.points - table.points[i], axis=1)
-        in_ball = dists <= root
-        dominated = _dominators(table, i, eps_shift) & in_ball
-        if np.any(dominated):
-            j = int(np.flatnonzero(dominated)[0])
+    # only rows with a dominator anywhere can have one in the ball
+    for i in qm[dominated(table, eps_shift, rows=qm)]:
+        in_ball = np.linalg.norm(table.points - table.points[i], axis=1) <= root
+        hits = np.flatnonzero(dominated_by(table, i, eps_shift) & in_ball)
+        if hits.size:
+            j = int(hits[0])
             report.violations.append((table.points[i].tolist(), table.points[j].tolist()))
     return report
 
@@ -221,16 +347,20 @@ def check_thm_3_3(problem: MIOProblem, u_bar: Sequence[float], eps, spec: GridSp
     pts = feasible_grid(problem, spec)
     table = value_table(problem, pts)
     u_arr = np.asarray(u_bar, dtype=float)
+    lower, upper = endpoint_values(problem.objectives, u_arr[None, :])
+    c_bar, w_bar = (lower + upper) / 2.0, (upper - lower) / 2.0
     merit = np.sum(table.centers + table.widths, axis=0)
-    merit_bar = sum(f.center(u_arr) + f.halfwidth(u_arr) for f in problem.objectives)
+    merit_bar = sum(c + w for c, w in zip(c_bar[:, 0], w_bar[:, 0]))
     dists = np.linalg.norm(table.points - u_arr, axis=1)
     lhs = merit + float(np.sum(earr)) * dists
     bad = lhs < merit_bar
     if np.any(bad):
         j = int(np.flatnonzero(bad)[0])
         return Thm33Verdict(False, table.points[j].tolist(), False)
-    # conclusion: u_bar in QM(F, grid, eps)
-    from .problem import is_weak_eps_quasi_minimal
-
-    ok = is_weak_eps_quasi_minimal(problem, u_arr, earr, pts)
+    # conclusion: u_bar in QM(F, grid, eps); u_bar need not be a grid
+    # point, so it joins the table as one more row
+    n_pts = len(pts)
+    with_bar = ValueTable(np.vstack([table.points, u_arr]), np.hstack([table.centers, c_bar]),
+                          np.hstack([table.widths, w_bar]))
+    ok = not np.any(dominated_by(with_bar, n_pts, earr, slice(0, n_pts), quasi=True))
     return Thm33Verdict(True, None, ok)

@@ -68,6 +68,20 @@ class MIOProblem:
         return len(self.constraints)
 
 
+class DescentError(ValueError):
+    """A descent engine cannot run, or its result failed post-verification."""
+
+
+class CertificateError(ValueError):
+    """A certificate pipeline was given inputs it cannot decide on."""
+
+
+class PremiseError(DescentError, CertificateError):
+    """The operation's hypothesis fails at the supplied point.  One class
+    for the descent engines and the certificate pipelines, caught by
+    ``except DescentError`` and ``except CertificateError`` alike."""
+
+
 def as_epsilon(eps, m: int) -> np.ndarray:
     """Validate a per-objective epsilon vector (scalars broadcast)."""
     arr = np.atleast_1d(np.asarray(eps, dtype=float))

@@ -69,16 +69,14 @@ def test_evp_bound_on_quad(quad_problem):
 
 def test_evp_t_map_nesting(quad_problem):
     """Points reachable from a T-map member stay inside the original map."""
-    from miopt.evp import _prepare, _t_map_mask
+    from miopt.evp import _prepare, _summed, _t_map
 
-    pts, table, sum_c, sum_w, _ = _prepare(quad_problem, GridSpec(41))
+    sums, _ = _summed(_prepare(quad_problem, GridSpec(41)))
     rate = float(np.sqrt(0.25))
     for i in (0, 10, 25, 40):
-        dists = np.linalg.norm(table.points - table.points[i], axis=1)
-        t_i = _t_map_mask(sum_c, sum_w, dists, rate, i)
+        t_i = _t_map(sums, i, rate)
         for j in np.flatnonzero(t_i):
-            dists_j = np.linalg.norm(table.points - table.points[j], axis=1)
-            t_j = _t_map_mask(sum_c, sum_w, dists_j, rate, int(j))
+            t_j = _t_map(sums, int(j), rate)
             assert not np.any(t_j & ~t_i)
 
 
