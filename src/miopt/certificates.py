@@ -22,7 +22,8 @@ import numpy as np
 from .expr import Polytope, clarke_subdiff, eval_expr, weak_gen_gradient
 from .grid import GridSpec, feasible_grid
 from .problem import (CertificateError, MIOProblem, PremiseError, active_set, as_epsilon,
-                      feasible, is_weak_eps_minimal, is_weak_minimal, restrict_to_ball)
+                      distances, feasible, is_weak_eps_minimal, is_weak_eps_quasi_minimal,
+                      is_weak_minimal, restrict_to_ball)
 
 MAX_SOLVER_ITERS = 10**5
 DEFAULT_BCQ_TAU = 1e-6
@@ -180,11 +181,24 @@ class CertificateReport:
         return self.verdict == "holds"
 
 
-def _subdiff_polys(problem: MIOProblem, u, tau_act=None):
+def _subdiff_polys(problem: MIOProblem, u, con_indices):
+    """Polytopes of every objective and of constraints con_indices at u, and if all are exact."""
     obj_polys = [weak_gen_gradient(f, u) for f in problem.objectives]
-    act = active_set(problem, u, tau_act)
-    con_polys = [clarke_subdiff(problem.constraints[j], u) for j in act]
-    return obj_polys, act, con_polys
+    con_polys = [clarke_subdiff(problem.constraints[j], u) for j in con_indices]
+    exact = all(p.exact for p in obj_polys) and all(p.exact for p in con_polys)
+    return obj_polys, con_polys, exact
+
+
+def _report(problem: MIOProblem, res: MinNormResult, con_indices, verdict: str, exact: bool,
+            threshold: float, tolerances: dict) -> CertificateReport:
+    """Report of a min-norm solve whose multipliers mu sit on con_indices."""
+    mu = np.zeros(problem.n_constraints)
+    mu[list(con_indices)] = res.mu
+    return CertificateReport(
+        verdict=verdict, residual=res.residual, lam=res.lam, mu=mu,
+        obj_witnesses=res.obj_witnesses, con_witnesses=dict(zip(con_indices, res.con_witnesses)),
+        exact=exact, iterations=res.iterations, gap=res.gap, threshold=threshold,
+        mu_capped=res.mu_capped, tolerances=tolerances)
 
 
 def kkt_check(problem: MIOProblem, u_bar, radius: float = 0.0,
@@ -204,7 +218,8 @@ def kkt_check(problem: MIOProblem, u_bar, radius: float = 0.0,
     if not feasible(problem, u_bar):
         raise CertificateError(f"point {list(np.asarray(u_bar, dtype=float))} is infeasible")
 
-    obj_polys, act, con_polys = _subdiff_polys(problem, u_bar)
+    act = active_set(problem, u_bar)
+    obj_polys, con_polys, exact = _subdiff_polys(problem, u_bar, act)
     res = min_norm_over_multipliers(obj_polys, con_polys, mu_max=cap, tol=tol)
 
     allowance = radius
@@ -213,22 +228,12 @@ def kkt_check(problem: MIOProblem, u_bar, radius: float = 0.0,
         allowance = radius + float(np.dot(res.lam, earr))
     threshold = allowance + tol
 
-    exact = all(p.exact for p in obj_polys) and all(p.exact for p in con_polys)
     verdict = "holds" if res.residual <= threshold else "fails"
     if verdict == "fails" and not exact:
         # only a superset was refuted; the true set may still contain 0
         verdict = "inconclusive"
-
-    mu_full = np.zeros(problem.n_constraints)
-    for idx, j in enumerate(act):
-        mu_full[j] = res.mu[idx]
-    return CertificateReport(
-        verdict=verdict, residual=res.residual, lam=res.lam, mu=mu_full,
-        obj_witnesses=res.obj_witnesses,
-        con_witnesses={j: res.con_witnesses[idx] for idx, j in enumerate(act)},
-        exact=exact, iterations=res.iterations, gap=res.gap, threshold=threshold,
-        mu_capped=res.mu_capped,
-        tolerances={"tau_solver": tol, "mu_max": cap, "radius": radius})
+    return _report(problem, res, act, verdict, exact, threshold,
+                   {"tau_solver": tol, "mu_max": cap, "radius": radius})
 
 
 @dataclass
@@ -378,7 +383,7 @@ def gen_convexity_check(problem: MIOProblem, u0, samples: Sequence,
     for u in samples:
         u_arr = np.asarray(u, dtype=float)
         report.samples_checked += 1
-        radius = float(np.linalg.norm(u_arr - u0_arr))
+        radius = float(distances(u_arr, u0_arr))
         rhs_obj = [problem.objectives[k].center(u_arr) - f0[k][0]
                    + problem.objectives[k].halfwidth(u_arr) - f0[k][1]
                    for k in range(problem.n_objectives)]
@@ -427,8 +432,8 @@ def sufficiency_thm_4_3(problem: MIOProblem, u_bar, eps, spec: GridSpec,
     if not np.any(earr > 0):
         raise ValueError("eps must be nonzero")
 
-    obj_polys, _, con_polys = _subdiff_polys(problem, u_bar)
-    if not (all(p.exact for p in obj_polys) and all(p.exact for p in con_polys)):
+    _, _, exact = _subdiff_polys(problem, u_bar, active_set(problem, u_bar))
+    if not exact:
         return SufficiencyReport("inconclusive", None, None, None)
 
     kkt = kkt_check(problem, u_bar, cor41_eps=earr, mu_max=mu_max)
@@ -439,8 +444,6 @@ def sufficiency_thm_4_3(problem: MIOProblem, u_bar, eps, spec: GridSpec,
     if not gc.holds:
         verdict = "inconclusive" if gc.verdict == "inconclusive" else "hypothesis-failed"
         return SufficiencyReport(verdict, kkt, gc, None)
-
-    from .problem import is_weak_eps_quasi_minimal
 
     qm = is_weak_eps_quasi_minimal(problem, u_bar, earr, pts)
     if not qm:
@@ -459,14 +462,6 @@ class ModKKTOutcome:
     point: np.ndarray | None
     report: CertificateReport | None
     complementarity_value: float | None   # sum(mu_j * g_j(x0))
-
-
-def _min_norm_all_constraints(problem: MIOProblem, x, con_indices, mu_max, tol):
-    obj_polys = [weak_gen_gradient(f, x) for f in problem.objectives]
-    con_polys = [clarke_subdiff(problem.constraints[j], x) for j in con_indices]
-    res = min_norm_over_multipliers(obj_polys, con_polys, mu_max=mu_max, tol=tol)
-    exact = all(p.exact for p in obj_polys) and all(p.exact for p in con_polys)
-    return res, exact
 
 
 def modified_eps_kkt(problem: MIOProblem, x0, epsilon: float, spec: GridSpec,
@@ -502,22 +497,15 @@ def modified_eps_kkt(problem: MIOProblem, x0, epsilon: float, spec: GridSpec,
         # unrestricted solve breaks the sign condition at x0, retry with
         # mu confined to constraints that cannot break it
         for subset in (all_j, near_active):
-            res, exact = _min_norm_all_constraints(problem, x, subset, cap, tol)
+            obj_polys, con_polys, exact = _subdiff_polys(problem, x, subset)
+            res = min_norm_over_multipliers(obj_polys, con_polys, mu_max=cap, tol=tol)
             if res.residual > root + tol:
                 continue
-            mu_full = np.zeros(problem.n_constraints)
-            for idx, j in enumerate(subset):
-                mu_full[j] = res.mu[idx]
-            comp = float(np.dot(mu_full, g_at_x0))
+            report = _report(problem, res, subset, "holds", exact, root + tol,
+                             {"tau_solver": tol, "mu_max": cap, "epsilon": epsilon})
+            comp = float(np.dot(report.mu, g_at_x0))
             if comp < -epsilon - tol:
                 continue
-            report = CertificateReport(
-                verdict="holds", residual=res.residual, lam=res.lam, mu=mu_full,
-                obj_witnesses=res.obj_witnesses,
-                con_witnesses={j: res.con_witnesses[idx] for idx, j in enumerate(subset)},
-                exact=exact, iterations=res.iterations, gap=res.gap,
-                threshold=root + tol, mu_capped=res.mu_capped,
-                tolerances={"tau_solver": tol, "mu_max": cap, "epsilon": epsilon})
             return ModKKTOutcome("holds", x, report, comp)
     return ModKKTOutcome("not-found-at-resolution", None, None, None)
 
@@ -564,8 +552,7 @@ def approx_kkt_sequence(problem: MIOProblem, u_bar, xs: Sequence, eps_seq: Seque
     u_arr = np.asarray(u_bar, dtype=float)
 
     pts = feasible_grid(problem, spec)
-    local_radius = max(float(np.linalg.norm(x - u_arr)) for x in xs_arr) \
-        + float(np.sqrt(np.max(eps_arr)))
+    local_radius = float(np.max(distances(xs_arr, u_arr))) + float(np.sqrt(np.max(eps_arr)))
     local = restrict_to_ball(pts, u_arr, local_radius)
     if not is_weak_minimal(problem, u_arr, local):
         raise PremiseError("u_bar is not locally weak minimal on the grid ball used")

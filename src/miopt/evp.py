@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .grid import GridSpec, ValueTable, dominated_by, feasible_grid, value_table
-from .problem import DescentError, MIOProblem, PremiseError, as_epsilon
+from .problem import DescentError, MIOProblem, PremiseError, as_epsilon, distances
 
 
 @dataclass
@@ -46,7 +46,7 @@ class EvpCertificate:
 
 def _grid_index(table: ValueTable, u: Sequence[float]) -> int:
     u_arr = np.asarray(u, dtype=float)
-    dists = np.linalg.norm(table.points - u_arr, axis=1)
+    dists = distances(table.points, u_arr)
     i = int(np.argmin(dists))
     if dists[i] > 1e-9:
         raise DescentError(f"point {list(u_arr)} is not on the feasible grid "
@@ -163,7 +163,7 @@ def _evp(table: ValueTable, earr: np.ndarray, i0: int,
 
     u_bar = table.points[i].copy()
     a_holds = not np.any(dominated_by(sums, i, handicap))
-    b_value = float(np.linalg.norm(np.asarray(x0, dtype=float) - u_bar))
+    b_value = float(distances(x0, u_bar))
     c_holds = not np.any(dominated_by(sums, i, np.array([rate]), quasi=True))
     cert = EvpCertificate(point=u_bar, a_holds=a_holds, b_value=b_value,
                           b_bound=eps_sum / rate, c_holds=c_holds, trace=trace)
@@ -206,7 +206,7 @@ def evp_descent_vector(problem: MIOProblem, epsilon: float, spec: GridSpec,
 
     u_bar = table.points[i].copy()
     a_holds = not np.any(dominated_by(table, i, earr))
-    b_value = float(np.linalg.norm(np.asarray(x0, dtype=float) - u_bar))
+    b_value = float(distances(x0, u_bar))
     c_holds = not np.any(dominated_by(table, i, np.full(m, root), quasi=True))
     cert = EvpCertificate(point=u_bar, a_holds=a_holds, b_value=b_value,
                           b_bound=root, c_holds=c_holds, trace=trace)
@@ -240,7 +240,7 @@ def quasi_existence(problem: MIOProblem, eps, spec: GridSpec) -> QuasiExistenceR
     if np.all(earr == earr[0]) and earr[0] > 0:
         eps0 = float(earr[0])
         root = float(np.sqrt(eps0))
-        in_ball = np.linalg.norm(table.points - u_bar, axis=1) <= root
+        in_ball = distances(table.points, u_bar) <= root
         ball_check = not np.any(dominated_by(table, i, np.full(len(earr), eps0)) & in_ball)
     return QuasiExistenceReport(point=u_bar, qm_verified=qm_ok, ball_check=ball_check,
                                 descent_trace=d_trace, evp_certificate=cert)

@@ -13,13 +13,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
-# A max/min/abs branch counts as active when its value is within this
-# absolute tolerance of the attained extremum.
-TAU_ACT = 1e-9
+# Tie tolerance of max/min/abs: a branch counts as active when its value
+# is within this absolute distance of the attained extremum.  It is
+# distinct from Tolerances.tau_act, which decides constraint activity.
+BRANCH_TOL = 1e-9
+
+# Deepest expression the parser accepts: tree depth (nodes on the longest
+# root-to-leaf path) and nesting of parentheses, functions and unary
+# minus.  Node constructors allow twice this depth, the room that centre
+# and half-width sums built from parsed endpoints need.  The parser takes
+# at most six frames per nesting level and every recursive walker (with
+# the generated == and hash) at most three per tree level, so both finish
+# well inside Python's default recursion limit of 1000.
+MAX_DEPTH = 100
 
 
 class ExprError(ValueError):
@@ -29,6 +40,30 @@ class ExprError(ValueError):
 # ---------------------------------------------------------------------------
 # Expression nodes
 # ---------------------------------------------------------------------------
+#
+# Every node carries three structural facts, set once at construction
+# from its children's facts, never by walking a subtree:
+#   smooth -- no abs/max/min node occurs in it;
+#   vars   -- frozenset of the variable indices it uses;
+#   depth  -- number of nodes on its longest root-to-leaf path.
+# They are plain attributes, not dataclass fields, so they stay out of
+# ==, hash, repr, __match_args__ and dataclasses.asdict.
+#
+# Walkers dispatch with ``match`` on the class attribute ``op``.  Class
+# patterns (``case Sum(a, b)``) would read better, but CPython 3.11
+# builds a set, a list and a tuple on every successful class match, which
+# made scalar evaluation three times slower.
+
+def _annotate(node: Expr, children: tuple[Expr, ...], smooth: bool = True,
+              own: frozenset[int] = frozenset()) -> None:
+    depth = 1 + max((c.depth for c in children), default=0)
+    if depth > 2 * MAX_DEPTH:
+        raise ExprError(f"expression is nested deeper than {2 * MAX_DEPTH} levels, twice "
+                        f"the parse limit of {MAX_DEPTH} levels")
+    object.__setattr__(node, "smooth", smooth and all(c.smooth for c in children))
+    object.__setattr__(node, "vars", own.union(*(c.vars for c in children)))
+    object.__setattr__(node, "depth", depth)
+
 
 @dataclass(frozen=True)
 class Expr:
@@ -38,111 +73,120 @@ class Expr:
 
 @dataclass(frozen=True)
 class Const(Expr):
+    op = "const"
     value: float
+
+    def __post_init__(self) -> None:
+        _annotate(self, ())
 
 
 @dataclass(frozen=True)
 class Var(Expr):
+    op = "var"
     index: int
 
     def __post_init__(self) -> None:
         if self.index < 0:
             raise ExprError(f"negative variable index {self.index}")
+        _annotate(self, (), own=frozenset((self.index,)))
 
 
 @dataclass(frozen=True)
 class Sum(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Scale(Expr):
-    alpha: float
-    operand: Expr
-
-
-@dataclass(frozen=True)
-class Product(Expr):
+    op = "sum"
     left: Expr
     right: Expr
 
     def __post_init__(self) -> None:
-        if not (is_smooth(self.left) and is_smooth(self.right)):
+        _annotate(self, (self.left, self.right))
+
+
+@dataclass(frozen=True)
+class Scale(Expr):
+    op = "scale"
+    alpha: float
+    operand: Expr
+
+    def __post_init__(self) -> None:
+        _annotate(self, (self.operand,))
+
+
+@dataclass(frozen=True)
+class Product(Expr):
+    op = "product"
+    left: Expr
+    right: Expr
+
+    def __post_init__(self) -> None:
+        if not (self.left.smooth and self.right.smooth):
             raise ExprError("nonsmooth factor in product")
+        _annotate(self, (self.left, self.right))
 
 
 @dataclass(frozen=True)
 class Power(Expr):
+    op = "power"
     base: Expr
     exponent: int
 
     def __post_init__(self) -> None:
         if self.exponent < 1:
             raise ExprError(f"power exponent must be a positive integer, got {self.exponent}")
-        if not is_smooth(self.base):
+        if not self.base.smooth:
             raise ExprError("nonsmooth base in power")
+        _annotate(self, (self.base,))
 
 
 @dataclass(frozen=True)
 class Abs(Expr):
+    op = "abs"
     operand: Expr
+
+    def __post_init__(self) -> None:
+        _annotate(self, (self.operand,), smooth=False)
 
 
 @dataclass(frozen=True)
 class Max(Expr):
+    op = "max"
     left: Expr
     right: Expr
+
+    def __post_init__(self) -> None:
+        _annotate(self, (self.left, self.right), smooth=False)
 
 
 @dataclass(frozen=True)
 class Min(Expr):
+    op = "min"
     left: Expr
     right: Expr
+
+    def __post_init__(self) -> None:
+        _annotate(self, (self.left, self.right), smooth=False)
 
 
 def is_smooth(e: Expr) -> bool:
     """True iff no abs/max/min node occurs in e."""
-    if isinstance(e, (Const, Var)):
-        return True
-    if isinstance(e, (Abs, Max, Min)):
-        return False
-    if isinstance(e, Scale):
-        return is_smooth(e.operand)
-    if isinstance(e, Power):
-        return is_smooth(e.base)
-    if isinstance(e, (Sum, Product)):
-        return is_smooth(e.left) and is_smooth(e.right)
+    return e.smooth
+
+
+def substitute(e: Expr, mapping: dict[int, Expr]) -> Expr:
+    """Replace each Var(i) by mapping[i] (identity when absent)."""
+    match e.op:
+        case "var":
+            return mapping.get(e.index, e)
+        case "const":
+            return e
+        case "scale":
+            return Scale(e.alpha, substitute(e.operand, mapping))
+        case "power":
+            return Power(substitute(e.base, mapping), e.exponent)
+        case "abs":
+            return Abs(substitute(e.operand, mapping))
+        case "sum" | "product" | "max" | "min":
+            return type(e)(substitute(e.left, mapping), substitute(e.right, mapping))
     raise TypeError(f"unknown node {type(e)!r}")
-
-
-def max_var_index(e: Expr) -> int:
-    """Largest variable index used, or -1 for constant expressions."""
-    if isinstance(e, Const):
-        return -1
-    if isinstance(e, Var):
-        return e.index
-    if isinstance(e, Scale):
-        return max_var_index(e.operand)
-    if isinstance(e, Power):
-        return max_var_index(e.base)
-    if isinstance(e, Abs):
-        return max_var_index(e.operand)
-    return max(max_var_index(e.left), max_var_index(e.right))
-
-
-def used_vars(e: Expr) -> set[int]:
-    if isinstance(e, Const):
-        return set()
-    if isinstance(e, Var):
-        return {e.index}
-    if isinstance(e, Scale):
-        return used_vars(e.operand)
-    if isinstance(e, Power):
-        return used_vars(e.base)
-    if isinstance(e, Abs):
-        return used_vars(e.operand)
-    return used_vars(e.left) | used_vars(e.right)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +205,7 @@ class _Parser:
         self.text = text
         self.dim = dim
         self.pos = 0
+        self.nesting = 0
 
     def error(self, msg: str) -> ExprError:
         return ExprError(f"{msg} at position {self.pos} in {self.text!r}")
@@ -183,6 +228,8 @@ class _Parser:
         self.skip_ws()
         if self.pos != len(self.text):
             raise self.error("trailing input")
+        if e.depth > MAX_DEPTH:
+            raise ExprError(f"expression is nested deeper than the limit of {MAX_DEPTH} levels")
         return e
 
     def expr(self) -> Expr:
@@ -228,6 +275,16 @@ class _Parser:
         return int(self.text[start:self.pos])
 
     def atom(self) -> Expr:
+        # each parenthesis, function call or unary minus nests one atom in
+        # another, so bounding the atom nesting bounds the parse recursion
+        if self.nesting > MAX_DEPTH:
+            raise self.error(f"expression is nested deeper than the limit of {MAX_DEPTH} levels")
+        self.nesting += 1
+        e = self._atom()
+        self.nesting -= 1
+        return e
+
+    def _atom(self) -> Expr:
         ch = self.peek()
         if ch == "(":
             self.pos += 1
@@ -308,24 +365,25 @@ def parse_expr(text: str, dim: int) -> Expr:
 
 def to_string(e: Expr) -> str:
     """Render e back into the grammar (parenthesized, unambiguous)."""
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return f"u{e.index}"
-    if isinstance(e, Sum):
-        return f"({to_string(e.left)} + {to_string(e.right)})"
-    if isinstance(e, Scale):
-        return f"({e.alpha!r} * {to_string(e.operand)})"
-    if isinstance(e, Product):
-        return f"({to_string(e.left)} * {to_string(e.right)})"
-    if isinstance(e, Power):
-        return f"({to_string(e.base)})^{e.exponent}"
-    if isinstance(e, Abs):
-        return f"abs({to_string(e.operand)})"
-    if isinstance(e, Max):
-        return f"max({to_string(e.left)}, {to_string(e.right)})"
-    if isinstance(e, Min):
-        return f"min({to_string(e.left)}, {to_string(e.right)})"
+    match e.op:
+        case "const":
+            return repr(e.value)
+        case "var":
+            return f"u{e.index}"
+        case "sum":
+            return f"({to_string(e.left)} + {to_string(e.right)})"
+        case "scale":
+            return f"({e.alpha!r} * {to_string(e.operand)})"
+        case "product":
+            return f"({to_string(e.left)} * {to_string(e.right)})"
+        case "power":
+            return f"({to_string(e.base)})^{e.exponent}"
+        case "abs":
+            return f"abs({to_string(e.operand)})"
+        case "max":
+            return f"max({to_string(e.left)}, {to_string(e.right)})"
+        case "min":
+            return f"min({to_string(e.left)}, {to_string(e.right)})"
     raise TypeError(f"unknown node {type(e)!r}")
 
 
@@ -334,24 +392,25 @@ def to_string(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 
 def eval_expr(e: Expr, u: Sequence[float]) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return float(u[e.index])
-    if isinstance(e, Sum):
-        return eval_expr(e.left, u) + eval_expr(e.right, u)
-    if isinstance(e, Scale):
-        return e.alpha * eval_expr(e.operand, u)
-    if isinstance(e, Product):
-        return eval_expr(e.left, u) * eval_expr(e.right, u)
-    if isinstance(e, Power):
-        return eval_expr(e.base, u) ** e.exponent
-    if isinstance(e, Abs):
-        return abs(eval_expr(e.operand, u))
-    if isinstance(e, Max):
-        return max(eval_expr(e.left, u), eval_expr(e.right, u))
-    if isinstance(e, Min):
-        return min(eval_expr(e.left, u), eval_expr(e.right, u))
+    match e.op:
+        case "const":
+            return e.value
+        case "var":
+            return float(u[e.index])
+        case "sum":
+            return eval_expr(e.left, u) + eval_expr(e.right, u)
+        case "scale":
+            return e.alpha * eval_expr(e.operand, u)
+        case "product":
+            return eval_expr(e.left, u) * eval_expr(e.right, u)
+        case "power":
+            return eval_expr(e.base, u) ** e.exponent
+        case "abs":
+            return abs(eval_expr(e.operand, u))
+        case "max":
+            return max(eval_expr(e.left, u), eval_expr(e.right, u))
+        case "min":
+            return min(eval_expr(e.left, u), eval_expr(e.right, u))
     raise TypeError(f"unknown node {type(e)!r}")
 
 
@@ -369,49 +428,51 @@ def eval_points(e: Expr, pts: np.ndarray) -> np.ndarray:
 
 
 def _eval_points(e: Expr, pts: np.ndarray) -> np.ndarray:
-    if isinstance(e, Const):
-        return np.full(pts.shape[0], e.value, dtype=float)
-    if isinstance(e, Var):
-        return pts[:, e.index].copy()
-    if isinstance(e, Sum):
-        return _eval_points(e.left, pts) + _eval_points(e.right, pts)
-    if isinstance(e, Scale):
-        return e.alpha * _eval_points(e.operand, pts)
-    if isinstance(e, Product):
-        return _eval_points(e.left, pts) * _eval_points(e.right, pts)
-    if isinstance(e, Power):
-        base = _eval_points(e.base, pts)
-        k = e.exponent
-        return np.fromiter((x ** k for x in base.tolist()), dtype=float, count=base.size)
-    if isinstance(e, Abs):
-        return np.abs(_eval_points(e.operand, pts))
-    if isinstance(e, Max):
-        a, b = _eval_points(e.left, pts), _eval_points(e.right, pts)
-        return np.where(b > a, b, a)
-    if isinstance(e, Min):
-        a, b = _eval_points(e.left, pts), _eval_points(e.right, pts)
-        return np.where(b < a, b, a)
+    match e.op:
+        case "const":
+            return np.full(pts.shape[0], e.value, dtype=float)
+        case "var":
+            return pts[:, e.index].copy()
+        case "sum":
+            return _eval_points(e.left, pts) + _eval_points(e.right, pts)
+        case "scale":
+            return e.alpha * _eval_points(e.operand, pts)
+        case "product":
+            return _eval_points(e.left, pts) * _eval_points(e.right, pts)
+        case "power":
+            base = _eval_points(e.base, pts)
+            k = e.exponent
+            return np.fromiter((x ** k for x in base.tolist()), dtype=float, count=base.size)
+        case "abs":
+            return np.abs(_eval_points(e.operand, pts))
+        case "max":
+            a, b = _eval_points(e.left, pts), _eval_points(e.right, pts)
+            return np.where(b > a, b, a)
+        case "min":
+            a, b = _eval_points(e.left, pts), _eval_points(e.right, pts)
+            return np.where(b < a, b, a)
     raise TypeError(f"unknown node {type(e)!r}")
 
 
 def gradient(e: Expr, u: Sequence[float]) -> np.ndarray:
     """Gradient of a smooth expression (raises on nonsmooth nodes)."""
     n = len(u)
-    if isinstance(e, Const):
-        return np.zeros(n)
-    if isinstance(e, Var):
-        g = np.zeros(n)
-        g[e.index] = 1.0
-        return g
-    if isinstance(e, Sum):
-        return gradient(e.left, u) + gradient(e.right, u)
-    if isinstance(e, Scale):
-        return e.alpha * gradient(e.operand, u)
-    if isinstance(e, Product):
-        return eval_expr(e.left, u) * gradient(e.right, u) + eval_expr(e.right, u) * gradient(e.left, u)
-    if isinstance(e, Power):
-        base = eval_expr(e.base, u)
-        return e.exponent * base ** (e.exponent - 1) * gradient(e.base, u)
+    match e.op:
+        case "const":
+            return np.zeros(n)
+        case "var":
+            g = np.zeros(n)
+            g[e.index] = 1.0
+            return g
+        case "sum":
+            return gradient(e.left, u) + gradient(e.right, u)
+        case "scale":
+            return e.alpha * gradient(e.operand, u)
+        case "product":
+            return eval_expr(e.left, u) * gradient(e.right, u) + eval_expr(e.right, u) * gradient(e.left, u)
+        case "power":
+            base = eval_expr(e.base, u)
+            return e.exponent * base ** (e.exponent - 1) * gradient(e.base, u)
     raise ExprError(f"gradient of nonsmooth node {type(e).__name__}")
 
 
@@ -440,13 +501,10 @@ class Polytope:
         warr = np.asarray(w, dtype=float)
         return max(float(np.dot(g, warr)) for g in self.generators)
 
-    def points(self) -> np.ndarray:
-        return np.array(self.generators, dtype=float)
-
     def hull_vertices(self) -> tuple[tuple[float, ...], ...]:
         """Generators with points interior to the hull of the rest removed
         (canonical set for comparing polytopes as sets)."""
-        pts = [np.array(g) for g in _dedupe(self.generators)]
+        pts = [np.array(g) for g in dict.fromkeys(self.generators)]
         if len(pts) == 1:
             return (tuple(pts[0]),)
         if self.dim == 1:
@@ -459,14 +517,6 @@ class Polytope:
             if not _in_hull(p, others):
                 keep.append(tuple(p))
         return tuple(keep) if keep else (tuple(pts[0]),)
-
-
-def _dedupe(gens: Iterable[tuple[float, ...]]) -> list[tuple[float, ...]]:
-    seen: list[tuple[float, ...]] = []
-    for g in gens:
-        if g not in seen:
-            seen.append(g)
-    return seen
 
 
 def _in_hull(p: np.ndarray, pts: list[np.ndarray]) -> bool:
@@ -493,80 +543,58 @@ class _SubdiffInfo:
     smooth: bool
 
 
-def _single(vec: np.ndarray) -> tuple[tuple[float, ...], ...]:
-    return (tuple(float(x) for x in vec),)
-
+# Generator tuples are deduplicated with dict.fromkeys, which keeps the
+# first-seen order; they are deliberately not hull-pruned.
 
 def _minkowski(a: Sequence[tuple[float, ...]], b: Sequence[tuple[float, ...]]) -> tuple[tuple[float, ...], ...]:
-    # all pairwise sums, deliberately not hull-pruned
-    out = []
-    for ga in a:
-        for gb in b:
-            s = tuple(x + y for x, y in zip(ga, gb))
-            if s not in out:
-                out.append(s)
-    return tuple(out)
+    return tuple(dict.fromkeys(tuple(x + y for x, y in zip(ga, gb)) for ga in a for gb in b))
 
 
 def _scale_gens(alpha: float, gens: Sequence[tuple[float, ...]]) -> tuple[tuple[float, ...], ...]:
-    out = []
-    for g in gens:
-        s = tuple(alpha * x for x in g)
-        if s not in out:
-            out.append(s)
-    return tuple(out)
+    return tuple(dict.fromkeys(tuple(alpha * x for x in g) for g in gens))
 
 
 def _union_gens(parts: Sequence[Sequence[tuple[float, ...]]]) -> tuple[tuple[float, ...], ...]:
-    out: list[tuple[float, ...]] = []
-    for part in parts:
-        for g in part:
-            if g not in out:
-                out.append(g)
-    return tuple(out)
+    return tuple(dict.fromkeys(g for part in parts for g in part))
 
 
-def _subdiff(e: Expr, u: Sequence[float], tau_act: float) -> _SubdiffInfo:
-    if is_smooth(e):
-        return _SubdiffInfo(_single(gradient(e, u)), exact=True, regular=True, smooth=True)
-
-    if isinstance(e, Sum):
-        a = _subdiff(e.left, u, tau_act)
-        b = _subdiff(e.right, u, tau_act)
-        # sum rule is an inclusion; equality when one side is smooth or
-        # both are regular
-        exact = a.exact and b.exact and (a.smooth or b.smooth or (a.regular and b.regular))
-        return _SubdiffInfo(_minkowski(a.gens, b.gens), exact=exact,
-                            regular=a.regular and b.regular, smooth=False)
-
-    if isinstance(e, Scale):
-        a = _subdiff(e.operand, u, tau_act)
-        # scaling preserves exactness (Clarke sets scale exactly, also for
-        # negative alpha); regularity survives only for alpha >= 0
-        return _SubdiffInfo(_scale_gens(e.alpha, a.gens), exact=a.exact,
-                            regular=a.regular and e.alpha >= 0.0, smooth=False)
-
-    if isinstance(e, Abs):
-        return _max_like(e.operand, Scale(-1.0, e.operand), u, tau_act, is_min=False)
-
-    if isinstance(e, Max):
-        return _max_like(e.left, e.right, u, tau_act, is_min=False)
-
-    if isinstance(e, Min):
-        return _max_like(e.left, e.right, u, tau_act, is_min=True)
-
+def _subdiff(e: Expr, u: Sequence[float]) -> _SubdiffInfo:
+    if e.smooth:
+        gens = (tuple(float(x) for x in gradient(e, u)),)
+        return _SubdiffInfo(gens, exact=True, regular=True, smooth=True)
+    match e.op:
+        case "sum":
+            a = _subdiff(e.left, u)
+            b = _subdiff(e.right, u)
+            # sum rule is an inclusion; equality when one side is smooth or
+            # both are regular
+            exact = a.exact and b.exact and (a.smooth or b.smooth or (a.regular and b.regular))
+            return _SubdiffInfo(_minkowski(a.gens, b.gens), exact=exact,
+                                regular=a.regular and b.regular, smooth=False)
+        case "scale":
+            a = _subdiff(e.operand, u)
+            # scaling preserves exactness (Clarke sets scale exactly, also for
+            # negative alpha); regularity survives only for alpha >= 0
+            return _SubdiffInfo(_scale_gens(e.alpha, a.gens), exact=a.exact,
+                                regular=a.regular and e.alpha >= 0.0, smooth=False)
+        case "abs":
+            return _max_like(e.operand, Scale(-1.0, e.operand), u, is_min=False)
+        case "max":
+            return _max_like(e.left, e.right, u, is_min=False)
+        case "min":
+            return _max_like(e.left, e.right, u, is_min=True)
     raise TypeError(f"unknown node {type(e)!r}")
 
 
-def _max_like(left: Expr, right: Expr, u: Sequence[float], tau_act: float, is_min: bool) -> _SubdiffInfo:
+def _max_like(left: Expr, right: Expr, u: Sequence[float], is_min: bool) -> _SubdiffInfo:
     va = eval_expr(left, u)
     vb = eval_expr(right, u)
     best = min(va, vb) if is_min else max(va, vb)
     parts = []
     infos = []
     for v, operand in ((va, left), (vb, right)):
-        if abs(v - best) <= tau_act:
-            info = _subdiff(operand, u, tau_act)
+        if abs(v - best) <= BRANCH_TOL:
+            info = _subdiff(operand, u)
             infos.append(info)
             parts.append(info.gens)
     gens = _union_gens(parts)
@@ -576,7 +604,7 @@ def _max_like(left: Expr, right: Expr, u: Sequence[float], tau_act: float, is_mi
         info = infos[0]
         return _SubdiffInfo(gens, exact=info.exact, regular=info.regular,
                             smooth=info.smooth)
-    operands_smooth = is_smooth(left) and is_smooth(right)
+    operands_smooth = left.smooth and right.smooth
     if is_min:
         # min of smooth operands is exact via min(a,b) = -max(-a,-b) and
         # the symmetry of Clarke sets under negation, but it is not
@@ -589,7 +617,7 @@ def _max_like(left: Expr, right: Expr, u: Sequence[float], tau_act: float, is_mi
     return _SubdiffInfo(gens, exact=exact, regular=regular, smooth=False)
 
 
-def clarke_subdiff(e: Expr, u: Sequence[float], tau_act: float = TAU_ACT) -> Polytope:
+def clarke_subdiff(e: Expr, u: Sequence[float]) -> Polytope:
     """Clarke subdifferential of e at u as a generator polytope.
 
     The hull always contains the Clarke set; ``exact`` is set when the
@@ -598,7 +626,7 @@ def clarke_subdiff(e: Expr, u: Sequence[float], tau_act: float = TAU_ACT) -> Pol
     pt = [float(x) for x in u]
     if any(not math.isfinite(x) for x in pt):
         raise ValueError(f"non-finite point {u}")
-    info = _subdiff(e, pt, tau_act)
+    info = _subdiff(e, pt)
     return Polytope(len(pt), info.gens, info.exact)
 
 
@@ -609,15 +637,16 @@ def clarke_subdiff(e: Expr, u: Sequence[float], tau_act: float = TAU_ACT) -> Pol
 def _flatten(e: Expr, coeff: float, const: list[float], terms: dict[Expr, float]) -> None:
     # linear structure only: sums, scales, constants; everything else is
     # an opaque atom collected with its coefficient
-    if isinstance(e, Const):
-        const[0] += coeff * e.value
-    elif isinstance(e, Sum):
-        _flatten(e.left, coeff, const, terms)
-        _flatten(e.right, coeff, const, terms)
-    elif isinstance(e, Scale):
-        _flatten(e.operand, coeff * e.alpha, const, terms)
-    else:
-        terms[e] = terms.get(e, 0.0) + coeff
+    match e.op:
+        case "const":
+            const[0] += coeff * e.value
+        case "sum":
+            _flatten(e.left, coeff, const, terms)
+            _flatten(e.right, coeff, const, terms)
+        case "scale":
+            _flatten(e.operand, coeff * e.alpha, const, terms)
+        case _:
+            terms[e] = terms.get(e, 0.0) + coeff
 
 
 def linear_combination(parts: Sequence[tuple[float, Expr]]) -> Expr:
@@ -655,7 +684,7 @@ class IVFunction:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
-        hi = max(max_var_index(self.lower), max_var_index(self.upper))
+        hi = max(self.lower.vars | self.upper.vars, default=-1)
         if hi >= self.dim:
             raise ValueError(f"expression uses u{hi} but dim is {self.dim}")
 
@@ -674,19 +703,20 @@ class IVFunction:
     def halfwidth(self, u: Sequence[float]) -> float:
         return (eval_expr(self.upper, u) - eval_expr(self.lower, u)) / 2.0
 
-    @property
+    # built once per function, on first use by a subdifferential
+    @cached_property
     def center_expr(self) -> Expr:
         return linear_combination([(0.5, self.lower), (0.5, self.upper)])
 
-    @property
+    @cached_property
     def halfwidth_expr(self) -> Expr:
         return linear_combination([(0.5, self.upper), (-0.5, self.lower)])
 
 
-def weak_gen_gradient(f: IVFunction, u: Sequence[float], tau_act: float = TAU_ACT) -> Polytope:
+def weak_gen_gradient(f: IVFunction, u: Sequence[float]) -> Polytope:
     """Weakly generalized gradient: co of the Clarke subdifferentials of
     the center and half-width functions."""
-    pc = clarke_subdiff(f.center_expr, u, tau_act)
-    pw = clarke_subdiff(f.halfwidth_expr, u, tau_act)
+    pc = clarke_subdiff(f.center_expr, u)
+    pw = clarke_subdiff(f.halfwidth_expr, u)
     gens = _union_gens([pc.generators, pw.generators])
     return Polytope(pc.dim, gens, pc.exact and pw.exact)

@@ -15,39 +15,15 @@ import numpy as np
 
 from .certificates import (CertificateReport, PremiseError, SearchOutcome,
                            eps_kkt_thm_4_1, gen_convexity_check, kkt_check)
-from .expr import (Abs, Const, Expr, IVFunction, Max, Min, Power, Product,
-                   Scale, Sum, Var, eval_expr, max_var_index, used_vars,
-                   weak_gen_gradient, clarke_subdiff)
+from .expr import (Const, Expr, IVFunction, Var, clarke_subdiff, eval_expr,
+                   substitute, weak_gen_gradient)
 from .grid import GridSpec, feasible_grid, spec_for
-from .problem import (DEFAULT_TOLERANCES, MIOProblem, Tolerances, as_epsilon,
-                      feasible, is_weak_eps_minimal, is_weak_eps_quasi_minimal)
+from .problem import (DEFAULT_TOLERANCES, MIOProblem, Tolerances, as_epsilon, distances,
+                      is_weak_eps_minimal, is_weak_eps_quasi_minimal)
 
 
 class GameError(ValueError):
     pass
-
-
-def substitute(e: Expr, mapping: dict[int, Expr]) -> Expr:
-    """Replace each Var(i) by mapping[i] (identity when absent)."""
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Var):
-        return mapping.get(e.index, e)
-    if isinstance(e, Sum):
-        return Sum(substitute(e.left, mapping), substitute(e.right, mapping))
-    if isinstance(e, Scale):
-        return Scale(e.alpha, substitute(e.operand, mapping))
-    if isinstance(e, Product):
-        return Product(substitute(e.left, mapping), substitute(e.right, mapping))
-    if isinstance(e, Power):
-        return Power(substitute(e.base, mapping), e.exponent)
-    if isinstance(e, Abs):
-        return Abs(substitute(e.operand, mapping))
-    if isinstance(e, Max):
-        return Max(substitute(e.left, mapping), substitute(e.right, mapping))
-    if isinstance(e, Min):
-        return Min(substitute(e.left, mapping), substitute(e.right, mapping))
-    raise TypeError(f"unknown node {type(e)!r}")
 
 
 @dataclass(frozen=True)
@@ -89,12 +65,12 @@ class Game:
                     raise GameError(f"player {i} objective must be over the "
                                     f"profile dimension {total}")
             for g in pl.constraints:
-                bad = used_vars(g) - block
+                bad = g.vars - block
                 if bad:
                     raise GameError(f"player {i} constraint uses variables "
                                     f"{sorted(bad)} outside its own block "
                                     "(shared constraints are not supported)")
-                if max_var_index(g) >= total:
+                if max(g.vars, default=-1) >= total:
                     raise GameError("constraint variable out of range")
 
     @property
@@ -178,24 +154,21 @@ def _require_feasible(game: Game, u_bar) -> np.ndarray:
 def is_w_eps_ne(game: Game, u_bar, eps) -> bool:
     """Every player's strategy is weak eps-minimal against the frozen
     opponents on that player's own grid."""
-    u_arr = _require_feasible(game, u_bar)
-    for i in range(game.n_players):
-        earr = as_epsilon(eps, len(game.players[i].objectives))
-        prob = fix_opponents(game, i, u_arr)
-        pts = feasible_grid(prob, player_spec(game, i))
-        if not is_weak_eps_minimal(prob, game.block(i, u_arr), earr, pts):
-            return False
-    return True
+    return _every_player(game, u_bar, eps, is_weak_eps_minimal)
 
 
 def is_w_eps_qne(game: Game, u_bar, eps) -> bool:
     """Same with the distance-scaled handicap [0, eps_k * ||u_i - y_i||]."""
+    return _every_player(game, u_bar, eps, is_weak_eps_quasi_minimal)
+
+
+def _every_player(game: Game, u_bar, eps, minimal) -> bool:
     u_arr = _require_feasible(game, u_bar)
     for i in range(game.n_players):
         earr = as_epsilon(eps, len(game.players[i].objectives))
         prob = fix_opponents(game, i, u_arr)
         pts = feasible_grid(prob, player_spec(game, i))
-        if not is_weak_eps_quasi_minimal(prob, game.block(i, u_arr), earr, pts):
+        if not minimal(prob, game.block(i, u_arr), earr, pts):
             return False
     return True
 
@@ -226,7 +199,7 @@ def find_deviation(game: Game, i: int, u_bar, eps, quasi: bool = False):
         profile[start:start + pl.dim] = y
         if any(eval_expr(g, profile) > tau for g in pl.constraints):
             continue
-        scale = float(np.linalg.norm(ui - y)) if quasi else 1.0
+        scale = float(distances(y, ui)) if quasi else 1.0
         better = True
         for k, f in enumerate(pl.objectives):
             shift = earr[k] * scale / 2.0

@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .expr import IVFunction, eval_points
-from .problem import MIOProblem, as_epsilon, feasible
+from .problem import MIOProblem, as_epsilon, distances, feasible
 
 GRID_CAP = 10**7
 MAX_DIM = 4
@@ -218,7 +218,7 @@ def dominated_by(table: ValueTable, i, eps: np.ndarray, j=slice(None), *,
     j; by default j is every row, giving the mask of i's dominators."""
     vi, vj = table.cw[i], table.cw[j]
     if quasi:
-        dists = np.linalg.norm(table.points[j] - table.points[i], axis=-1)
+        dists = distances(table.points[j], table.points[i])
         half = (eps * dists[..., None] / 2.0)[..., None, :]
     else:
         half = eps / 2.0
@@ -320,7 +320,7 @@ def check_prop_2_1(problem: MIOProblem, eps0: float, spec: GridSpec) -> Prop21Re
     eps_shift = np.full(m, eps0)
     # only rows with a dominator anywhere can have one in the ball
     for i in qm[dominated(table, eps_shift, rows=qm)]:
-        in_ball = np.linalg.norm(table.points - table.points[i], axis=1) <= root
+        in_ball = distances(table.points, table.points[i]) <= root
         hits = np.flatnonzero(dominated_by(table, i, eps_shift) & in_ball)
         if hits.size:
             j = int(hits[0])
@@ -351,7 +351,7 @@ def check_thm_3_3(problem: MIOProblem, u_bar: Sequence[float], eps, spec: GridSp
     c_bar, w_bar = (lower + upper) / 2.0, (upper - lower) / 2.0
     merit = np.sum(table.centers + table.widths, axis=0)
     merit_bar = sum(c + w for c, w in zip(c_bar[:, 0], w_bar[:, 0]))
-    dists = np.linalg.norm(table.points - u_arr, axis=1)
+    dists = distances(table.points, u_arr)
     lhs = merit + float(np.sum(earr)) * dists
     bad = lhs < merit_bar
     if np.any(bad):

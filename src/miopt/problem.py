@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .expr import Expr, IVFunction, eval_expr, max_var_index
+from .expr import Expr, IVFunction, eval_expr
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class MIOProblem:
             if f.dim != self.dim:
                 raise ValueError("objective dimension mismatch")
         for g in self.constraints:
-            if max_var_index(g) >= self.dim:
+            if max(g.vars, default=-1) >= self.dim:
                 raise ValueError("constraint uses out-of-range variable")
         if len(self.box_lo) != self.dim or len(self.box_hi) != self.dim:
             raise ValueError("box dimension mismatch")
@@ -92,6 +92,14 @@ def as_epsilon(eps, m: int) -> np.ndarray:
     if np.any(arr < 0):
         raise ValueError("epsilon components must be >= 0")
     return arr
+
+
+def distances(points, u) -> np.ndarray:
+    """Euclidean distance from u to each row of points (a 0-d array for a
+    single point).  Every distance that decides a verdict comes from here:
+    the row-wise reduction, not ``np.linalg.norm`` of a flat vector, which
+    is a BLAS dot product and can differ from it in the last bit."""
+    return np.linalg.norm(np.asarray(points, dtype=float) - np.asarray(u, dtype=float), axis=-1)
 
 
 def feasible(problem: MIOProblem, u: Sequence[float], tau_feas: float | None = None) -> bool:
@@ -146,7 +154,7 @@ def is_weak_eps_quasi_minimal(problem: MIOProblem, u: Sequence[float], eps,
     u_arr = np.asarray(u, dtype=float)
     u_cw = _cw_at(problem, u)
     for z in candidates:
-        dist = float(np.linalg.norm(np.asarray(z, dtype=float) - u_arr))
+        dist = float(distances(z, u_arr))
         if _dominates(problem, z, u_cw, earr * dist):
             return False
     return True
@@ -155,6 +163,7 @@ def is_weak_eps_quasi_minimal(problem: MIOProblem, u: Sequence[float], eps,
 def restrict_to_ball(candidates: Iterable[Sequence[float]], center: Sequence[float],
                      radius: float) -> list[np.ndarray]:
     """Candidates within the closed ball (for local solution variants)."""
-    c = np.asarray(center, dtype=float)
-    return [np.asarray(z, dtype=float) for z in candidates
-            if np.linalg.norm(np.asarray(z, dtype=float) - c) <= radius]
+    pts = [np.asarray(z, dtype=float) for z in candidates]
+    if not pts:
+        return []
+    return [z for z, inside in zip(pts, distances(pts, center) <= radius) if inside]

@@ -4,6 +4,7 @@ import pytest
 from miopt import (GridSpec, active_set, as_epsilon, feasible, feasible_grid,
                    is_weak_eps_minimal, is_weak_eps_quasi_minimal,
                    is_weak_minimal, restrict_to_ball)
+from miopt.problem import distances
 from .conftest import make_problem
 
 
@@ -100,3 +101,20 @@ def test_restrict_to_ball():
     pts = [np.array([x]) for x in np.linspace(-1, 1, 21)]
     ball = restrict_to_ball(pts, [0.0], 0.35)
     assert [p[0] for p in ball] == pytest.approx([-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3])
+
+
+def test_restrict_to_ball_uses_the_row_wise_distance():
+    # radius = each point's own row-wise distance puts it on the sphere; the
+    # BLAS dot product of np.linalg.norm on the flat difference differs from
+    # that distance in the last bit for a few percent of such pairs
+    rng = np.random.default_rng(0)
+    center = rng.uniform(-1.0, 1.0, 2)
+    pts = rng.uniform(-1.0, 1.0, (2000, 2))
+    rows = np.linalg.norm(pts - center, axis=1)
+    for z, radius in zip(pts, rows):
+        assert len(restrict_to_ball([z], center, radius)) == 1
+    # the same closed ball as the grid masks draw for every radius
+    for radius in rows[:50]:
+        kept = restrict_to_ball(list(pts), center, radius)
+        assert np.array_equal(np.array(kept), pts[distances(pts, center) <= radius])
+        assert np.array_equal(np.array(kept), pts[rows <= radius])
