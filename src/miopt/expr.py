@@ -577,34 +577,43 @@ def _subdiff(e: Expr, u: Sequence[float]) -> _SubdiffInfo:
             # negative alpha); regularity survives only for alpha >= 0
             return _SubdiffInfo(_scale_gens(e.alpha, a.gens), exact=a.exact,
                                 regular=a.regular and e.alpha >= 0.0, smooth=False)
-        case "abs":
-            return _max_like(e.operand, Scale(-1.0, e.operand), u, is_min=False)
-        case "max":
-            return _max_like(e.left, e.right, u, is_min=False)
-        case "min":
-            return _max_like(e.left, e.right, u, is_min=True)
+        case "abs" | "max" | "min":
+            return _max_like(e, u)
     raise TypeError(f"unknown node {type(e)!r}")
 
 
-def _max_like(left: Expr, right: Expr, u: Sequence[float], is_min: bool) -> _SubdiffInfo:
-    va = eval_expr(left, u)
-    vb = eval_expr(right, u)
+def _max_like(e: Expr, u: Sequence[float]) -> _SubdiffInfo:
+    """max, min, and abs as max(a, -a).  The branch -a of abs is taken
+    from a's value and subdifferential, exactly as evaluating and
+    differentiating Scale(-1.0, a) would give them: a nested abs is then
+    differentiated once per level, not twice."""
+    is_min = e.op == "min"
+    if e.op == "abs":
+        va = eval_expr(e.operand, u)
+        vb = -1.0 * va
+        operands_smooth = e.operand.smooth
+    else:
+        va, vb = eval_expr(e.left, u), eval_expr(e.right, u)
+        operands_smooth = e.left.smooth and e.right.smooth
     best = min(va, vb) if is_min else max(va, vb)
-    parts = []
-    infos = []
-    for v, operand in ((va, left), (vb, right)):
-        if abs(v - best) <= BRANCH_TOL:
-            info = _subdiff(operand, u)
-            infos.append(info)
-            parts.append(info.gens)
-    gens = _union_gens(parts)
+    on_a, on_b = (abs(v - best) <= BRANCH_TOL for v in (va, vb))
+    if e.op != "abs":
+        infos = [_subdiff(x, u) for x, on in ((e.left, on_a), (e.right, on_b)) if on]
+    elif on_a or on_b:
+        a = _subdiff(e.operand, u)
+        # the smooth case of Scale(-1.0, a) when a is smooth, else its scale case
+        neg = _SubdiffInfo(_scale_gens(-1.0, a.gens), exact=a.exact,
+                           regular=operands_smooth, smooth=operands_smooth)
+        infos = [info for info, on in ((a, on_a), (neg, on_b)) if on]
+    else:
+        infos = []
+    gens = _union_gens([info.gens for info in infos])
     if len(infos) == 1:
         # only one branch is active: the function agrees with that branch
         # on a neighborhood, so its properties carry over unchanged
         info = infos[0]
         return _SubdiffInfo(gens, exact=info.exact, regular=info.regular,
                             smooth=info.smooth)
-    operands_smooth = left.smooth and right.smooth
     if is_min:
         # min of smooth operands is exact via min(a,b) = -max(-a,-b) and
         # the symmetry of Clarke sets under negation, but it is not

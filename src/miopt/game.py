@@ -17,7 +17,8 @@ from .certificates import (CertificateReport, PremiseError, SearchOutcome,
                            eps_kkt_thm_4_1, gen_convexity_check, kkt_check)
 from .expr import (Const, Expr, IVFunction, Var, clarke_subdiff, eval_expr,
                    substitute, weak_gen_gradient)
-from .grid import GridSpec, feasible_grid, spec_for
+from .grid import (GridSpec, IntervalError, _grid_array, default_points_per_dim,
+                   endpoint_values, feasible_grid, grid_points)
 from .problem import (DEFAULT_TOLERANCES, MIOProblem, Tolerances, as_epsilon, distances,
                       is_weak_eps_minimal, is_weak_eps_quasi_minimal)
 
@@ -93,8 +94,6 @@ def player_spec(game: Game, i: int) -> GridSpec:
     pl = game.players[i]
     if pl.points_per_dim is not None:
         return GridSpec(pl.points_per_dim)
-    from .grid import default_points_per_dim
-
     return GridSpec(default_points_per_dim(pl.dim))
 
 
@@ -138,12 +137,30 @@ def profile_feasible(game: Game, u_bar: Sequence[float]) -> bool:
     return True
 
 
-def _require_feasible(game: Game, u_bar) -> np.ndarray:
+def _checked_profile(game: Game, u_bar) -> np.ndarray:
+    """u_bar as an array, once it is a feasible profile at which every
+    player's objectives are valid intervals (finite, lower <= upper) over
+    that player's grid with the other blocks fixed at u_bar.  A problem
+    file gets the same interval check at load; a game cannot, since its
+    joint grid is the product of the players' grids."""
     u_arr = np.asarray(u_bar, dtype=float)
     if u_arr.shape != (game.profile_dim,):
         raise GameError(f"profile must have dimension {game.profile_dim}")
     if not profile_feasible(game, u_arr):
         raise GameError("profile is infeasible for some player")
+    for i, pl in enumerate(game.players):
+        own = _grid_array(pl.box_lo, pl.box_hi, player_spec(game, i))
+        profiles = np.repeat(u_arr[None, :], len(own), axis=0)
+        start = game.block_start(i)
+        profiles[:, start:start + pl.dim] = own
+        try:
+            endpoint_values(pl.objectives, profiles)
+        except IntervalError as exc:
+            raise GameError(f"player {i}: objective {exc.objective} invalid at "
+                            f"profile {exc.point}: {exc.detail}") from exc
+        except ArithmeticError as exc:
+            raise GameError(f"player {i}: objectives cannot be evaluated on the "
+                            f"player's grid: {exc}") from exc
     return u_arr
 
 
@@ -163,7 +180,7 @@ def is_w_eps_qne(game: Game, u_bar, eps) -> bool:
 
 
 def _every_player(game: Game, u_bar, eps, minimal) -> bool:
-    u_arr = _require_feasible(game, u_bar)
+    u_arr = _checked_profile(game, u_bar)
     for i in range(game.n_players):
         earr = as_epsilon(eps, len(game.players[i].objectives))
         prob = fix_opponents(game, i, u_arr)
@@ -192,8 +209,6 @@ def find_deviation(game: Game, i: int, u_bar, eps, quasi: bool = False):
     ui = game.block(i, u_arr)
     base = [(f.center(u_arr), f.halfwidth(u_arr)) for f in pl.objectives]
 
-    from .grid import grid_points
-
     for y in grid_points(pl.box_lo, pl.box_hi, spec):
         profile = u_arr.copy()
         profile[start:start + pl.dim] = y
@@ -213,13 +228,13 @@ def find_deviation(game: Game, i: int, u_bar, eps, quasi: bool = False):
 
 
 def is_w_eps_ne_direct(game: Game, u_bar, eps) -> bool:
-    u_arr = _require_feasible(game, u_bar)
+    u_arr = _checked_profile(game, u_bar)
     return all(find_deviation(game, i, u_arr, eps, quasi=False) is None
                for i in range(game.n_players))
 
 
 def is_w_eps_qne_direct(game: Game, u_bar, eps) -> bool:
-    u_arr = _require_feasible(game, u_bar)
+    u_arr = _checked_profile(game, u_bar)
     return all(find_deviation(game, i, u_arr, eps, quasi=True) is None
                for i in range(game.n_players))
 
@@ -244,7 +259,7 @@ def game_kkt(game: Game, u_bar, eps, mode: str = "thm_5_2",
     mode "thm_5_1": each player must be at a weak eps equilibrium; runs
     the ball-grid search with radius (1/delta)*max(eps).
     """
-    u_arr = _require_feasible(game, u_bar)
+    u_arr = _checked_profile(game, u_bar)
     if mode not in ("thm_5_1", "thm_5_2"):
         raise GameError(f"unknown mode {mode!r}")
     if mode == "thm_5_1" and (delta is None or delta <= 0):
@@ -282,7 +297,7 @@ def game_sufficiency(game: Game, u_bar, eps) -> GameSufficiencyReport:
     """Per-player multiplier condition plus generalized convexity; when
     every player passes, the profile must verify as a weak eps-quasi
     equilibrium (a grid counterexample raises: it would be a bug)."""
-    u_arr = _require_feasible(game, u_bar)
+    u_arr = _checked_profile(game, u_bar)
     report = GameSufficiencyReport(verdict="holds")
     for i in range(game.n_players):
         earr = as_epsilon(eps, len(game.players[i].objectives))

@@ -73,8 +73,9 @@ def spec_for(problem: MIOProblem, points_per_dim: int | None = None) -> GridSpec
     return GridSpec(points_per_dim or default_points_per_dim(problem.dim))
 
 
-def grid_points(box_lo: Sequence[float], box_hi: Sequence[float], spec: GridSpec) -> list[np.ndarray]:
-    """Uniform inclusive grid, deterministic lexicographic order."""
+def _grid_array(box_lo: Sequence[float], box_hi: Sequence[float], spec: GridSpec) -> np.ndarray:
+    """The (N, n) uniform inclusive grid over the box, in deterministic
+    lexicographic order (the last axis varies fastest)."""
     n = len(box_lo)
     if n > MAX_DIM:
         raise GridError(f"brute-force grids are dishonest beyond dimension {MAX_DIM} (got {n})")
@@ -86,18 +87,17 @@ def grid_points(box_lo: Sequence[float], box_hi: Sequence[float], spec: GridSpec
         t = np.arange(spec.points_per_dim, dtype=float)
         axes.append(lo + t * (hi - lo) / (spec.points_per_dim - 1))
     # "ij" indexing raveled in C order varies the last axis fastest
-    grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-    return list(grid)
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
-def grid_array(rows: list[np.ndarray], dim: int) -> np.ndarray:
-    """The (N, dim) array of the rows that grid_points returns."""
-    return np.concatenate(rows).reshape(len(rows), dim)
+def grid_points(box_lo: Sequence[float], box_hi: Sequence[float], spec: GridSpec) -> list[np.ndarray]:
+    """Uniform inclusive grid, deterministic lexicographic order."""
+    return list(_grid_array(box_lo, box_hi, spec))
 
 
 def feasible_grid(problem: MIOProblem, spec: GridSpec) -> list[np.ndarray]:
     """All grid points satisfying the constraints (may be empty)."""
-    pts = grid_array(grid_points(problem.box_lo, problem.box_hi, spec), problem.dim)
+    pts = _grid_array(problem.box_lo, problem.box_hi, spec)
     tau = problem.tolerances.tau_feas
     # each constraint is evaluated only where the earlier ones hold, as
     # the short-circuiting scalar ``feasible`` does

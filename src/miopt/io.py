@@ -10,13 +10,14 @@ bit-exact.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .expr import ExprError, IVFunction, parse_expr, to_string
-from .game import Game, Player
-from .grid import (GridSpec, IntervalError, default_points_per_dim, endpoint_values,
-                   grid_array, grid_points)
+from .grid import GridSpec, IntervalError, _grid_array, default_points_per_dim, endpoint_values
 from .problem import DEFAULT_TOLERANCES, MIOProblem, Tolerances
+
+if TYPE_CHECKING:
+    from .game import Game
 
 
 class SchemaError(ValueError):
@@ -113,9 +114,8 @@ def _constraints(raw: Any, dim: int, path: str):
 
 
 def _check_validity(objectives, box_lo, box_hi, ppd: int, where: str) -> None:
-    pts = grid_array(grid_points(box_lo, box_hi, GridSpec(ppd)), len(box_lo))
     try:
-        endpoint_values(objectives, pts)
+        endpoint_values(objectives, _grid_array(box_lo, box_hi, GridSpec(ppd)))
     except IntervalError as exc:
         raise SchemaError(f"{where}: objective {exc.objective} invalid at grid point "
                           f"{exc.point}: {exc.detail}") from exc
@@ -155,6 +155,10 @@ def problem_from_dict(d: dict, path: str = "problem") -> MIOProblem:
 
 
 def game_from_dict(d: dict, path: str = "game") -> Game:
+    # games are imported here, not at module level: loading a problem
+    # file needs no game (nor the certificate layer that games import)
+    from .game import Game, Player
+
     _check_fields(d, _GAME_FIELDS, path)
     raw_players = _require(d, "players", path)
     if not isinstance(raw_players, list) or len(raw_players) < 2:
@@ -220,7 +224,7 @@ def _tol_dict(t: Tolerances) -> dict:
 
 def serialize(model: MIOProblem | Game) -> dict:
     """Inverse of loading; stored source strings are reused verbatim."""
-    if isinstance(model, Game):
+    if not isinstance(model, MIOProblem):
         sources = model.metadata.get("player_sources")
         players = []
         for i, pl in enumerate(model.players):

@@ -153,6 +153,50 @@ def test_dedupe_matches_list_membership(a, b, alpha):
 
 
 # ---------------------------------------------------------------------------
+# abs as max(a, -a), with a differentiated once
+# ---------------------------------------------------------------------------
+
+def _info_bits(info):
+    return _bits(info.gens), info.exact, info.regular, info.smooth
+
+
+@settings(max_examples=200, deadline=None)
+@given(EXPRS, POINTS)
+def test_abs_subdiff_equals_max_with_the_negated_operand(e, pts):
+    # the explicit max(a, -1.0 * a) differentiates both branches separately
+    for u in pts.tolist():
+        try:
+            expected = _info_bits(X._subdiff(Max(e, Scale(-1.0, e)), u))
+        except (ArithmeticError, ValueError):
+            continue
+        assert _info_bits(X._subdiff(Abs(e), u)) == expected
+
+
+@pytest.mark.parametrize("inner, kink", [("u0", 0.0), ("3*u0 - 1.5", 0.5)])
+def test_nested_abs_subdiff_calls_grow_linearly(monkeypatch, inner, kink):
+    # every level ties at the kink
+    calls = []
+    original = X._subdiff
+
+    def counting(e, u):
+        calls.append(e)
+        return original(e, u)
+
+    monkeypatch.setattr(X, "_subdiff", counting)
+    counts = []
+    e = parse_expr(inner, 1)
+    slope = float(X.gradient(e, [kink])[0])
+    for depth in range(1, 17):
+        e = Abs(e)
+        calls.clear()
+        p = clarke_subdiff(e, [kink])
+        counts.append(len(calls))
+        assert set(p.generators) == {(slope,), (-slope,)}
+    # one call per abs level and one for the smooth operand
+    assert counts == list(range(2, 18))
+
+
+# ---------------------------------------------------------------------------
 # Cached centre and half-width, one branch tolerance
 # ---------------------------------------------------------------------------
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -154,3 +156,63 @@ def test_game_sufficiency_quadratic(quad_game):
 def test_game_sufficiency_hypothesis_failed(quad_game):
     rep = game_sufficiency(quad_game, [0.0, 1.0], 0.001)
     assert rep.verdict == "hypothesis-failed"
+
+
+# ---------------------------------------------------------------------------
+# Interval validity on each player's grid
+# ---------------------------------------------------------------------------
+
+def _game_doc(lower, upper, lo, hi):
+    """A two-player game whose player-0 objective is [lower, upper]."""
+    return {"players": [
+        {"dim": 1, "objectives": [{"lower": lower, "upper": upper}],
+         "box": {"lo": [lo], "hi": [hi]}, "grid": {"points_per_dim": 21}},
+        {"dim": 1, "objectives": [{"lower": "(u1-u0)^2", "upper": "3*(u1-u0)^2"}],
+         "box": {"lo": [lo], "hi": [hi]}, "grid": {"points_per_dim": 21}}]}
+
+
+INVALID_GAMES = [
+    # lower > upper everywhere; the first point of player 0's grid names it
+    (_game_doc("u0+1", "u0", 0, 1), r"objective 0 invalid at profile \[0\.0, 0\.0\]: "
+                                    r"lower 1\.0 > upper 0\.0"),
+    # overflows to inf on player 0's grid, not at the queried profile
+    (_game_doc("u0^200*1e300", "u0^200*1e300+1", -3, 3),
+     r"objective 0 invalid at profile \[-3\.0, 0\.0\]: non-finite endpoint"),
+    # Python's float power raises instead of overflowing
+    (_game_doc("u0^2000", "u0^2000+1", -3, 3), "cannot be evaluated on the player's grid"),
+]
+INVALID_IDS = ["inverted", "overflow", "power-overflow"]
+
+
+@pytest.mark.parametrize("doc, message", INVALID_GAMES, ids=INVALID_IDS)
+def test_invalid_player_interval_rejected_before_any_verdict(doc, message):
+    from miopt.io import game_from_dict
+
+    game = game_from_dict(doc)
+    for check in (is_w_eps_ne, is_w_eps_qne, is_w_eps_ne_direct, is_w_eps_qne_direct,
+                  game_kkt, game_sufficiency):
+        with pytest.raises(GameError, match=f"player 0: .*{message}"):
+            check(game, [0.0, 0.0], 0.1)
+
+
+@pytest.mark.parametrize("doc, message", INVALID_GAMES, ids=INVALID_IDS)
+@pytest.mark.parametrize("argv", [["game-verify", "--concept=ne"], ["game-verify", "--concept=qne"],
+                                  ["game-kkt"], ["game-sufficiency"]],
+                         ids=["ne", "qne", "kkt", "sufficiency"])
+def test_cli_invalid_player_interval_exits_3(tmp_path, capsys, doc, message, argv):
+    from miopt.cli import main
+
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    assert main(argv + ["--game", str(path), "--point=0,0", "--eps=0.1"]) == 3
+    assert "player 0" in capsys.readouterr().err
+
+
+def test_interval_check_fixes_the_other_blocks_at_the_profile():
+    # player 1's objective is invalid only where u0 > 0.5
+    p0 = make_player(2, [("(u0-u1)^2", "(u0-u1)^2 + 1")], [], [0.0], [1.0], ppd=11)
+    p1 = make_player(2, [("u0 + u1", "u1 + 0.5")], [], [0.0], [1.0], ppd=11)
+    game = Game(players=(p0, p1))
+    is_w_eps_ne(game, [0.5, 0.5], 0.1)  # valid everywhere at u0 = 0.5: no error
+    with pytest.raises(GameError, match=r"player 1: objective 0 invalid at profile \[0\.6, 0\.0\]"):
+        is_w_eps_ne(game, [0.6, 0.5], 0.1)
