@@ -20,10 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from .expr import Polytope, clarke_subdiff, eval_expr, weak_gen_gradient
-from .grid import GridSpec, feasible_grid
+from .grid import GridSpec, feasible_grid, point_dominated, value_table
 from .problem import (CertificateError, MIOProblem, PremiseError, active_set, as_epsilon,
-                      distances, feasible, is_weak_eps_minimal, is_weak_eps_quasi_minimal,
-                      is_weak_minimal, restrict_to_ball)
+                      distances, feasible, restrict_to_ball)
 
 MAX_SOLVER_ITERS = 10**5
 DEFAULT_BCQ_TAU = 1e-6
@@ -46,8 +45,7 @@ class MinNormResult:
 
 
 def min_norm_over_multipliers(obj_polys: Sequence[Polytope], con_polys: Sequence[Polytope],
-                              mu_max: float, tol: float = 1e-8,
-                              max_iter: int = MAX_SOLVER_ITERS) -> MinNormResult:
+                              mu_max: float, tol: float = 1e-8) -> MinNormResult:
     """Approximately minimize ||x + sum_j t_j v_j|| with x in
     co(union of obj_polys), t_j in [0, mu_max], v_j in con_polys[j]."""
     if not obj_polys:
@@ -82,7 +80,7 @@ def min_norm_over_multipliers(obj_polys: Sequence[Polytope], con_polys: Sequence
 
     gap = float("inf")
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_SOLVER_ITERS + 1):
         y = sum(w * vecs[a] for a, w in weights.items())
         # FW atom: per-factor linear minimization
         i0 = min(range(len(v0_vecs)), key=lambda i: float(np.dot(v0_vecs[i], y)))
@@ -151,10 +149,9 @@ def min_norm_over_multipliers(obj_polys: Sequence[Polytope], con_polys: Sequence
                          iterations=it, gap=gap, mu_capped=mu_capped)
 
 
-def hull_distance(polys: Sequence[Polytope], tol: float = 1e-8) -> float:
+def hull_distance(polys: Sequence[Polytope]) -> float:
     """Distance from the origin to co(union of polys)."""
-    res = min_norm_over_multipliers(polys, [], mu_max=1.0, tol=tol)
-    return res.residual
+    return min_norm_over_multipliers(polys, [], mu_max=1.0).residual
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +199,7 @@ def _report(problem: MIOProblem, res: MinNormResult, con_indices, verdict: str, 
 
 
 def kkt_check(problem: MIOProblem, u_bar, radius: float = 0.0,
-              cor41_eps=None, mu_max: float | None = None,
-              tau_solver: float | None = None) -> CertificateReport:
+              cor41_eps=None) -> CertificateReport:
     """Membership of 0 in sum(lambda_k * dF_k) + sum(mu_j * dg_j) + r*B at
     a feasible point, with complementarity enforced structurally (mu is
     supported on the active set only).
@@ -211,8 +207,8 @@ def kkt_check(problem: MIOProblem, u_bar, radius: float = 0.0,
     With ``cor41_eps`` the radius is multiplier-dependent: the residual
     must come in under sum(lambda_k * eps_k) for the recovered lambda.
     """
-    tol = problem.tolerances.tau_solver if tau_solver is None else tau_solver
-    cap = problem.tolerances.mu_max if mu_max is None else mu_max
+    tol = problem.tolerances.tau_solver
+    cap = problem.tolerances.mu_max
     if radius < 0:
         raise CertificateError("radius must be >= 0")
     if not feasible(problem, u_bar):
@@ -247,7 +243,7 @@ class BCQReport:
         return not self.active
 
 
-def bcq_check(problem: MIOProblem, u, tau: float = DEFAULT_BCQ_TAU) -> BCQReport:
+def bcq_check(problem: MIOProblem, u) -> BCQReport:
     """Basic constraint qualification: after normalizing sum(mu) = 1, BCQ
     fails iff the origin lies in co(union of active-constraint
     subdifferentials).  Vacuously true with no active constraints."""
@@ -258,7 +254,7 @@ def bcq_check(problem: MIOProblem, u, tau: float = DEFAULT_BCQ_TAU) -> BCQReport
         return BCQReport(holds=True, distance=None, active=())
     polys = [clarke_subdiff(problem.constraints[j], u) for j in act]
     dist = hull_distance(polys)
-    return BCQReport(holds=dist > tau, distance=dist, active=act)
+    return BCQReport(holds=dist > DEFAULT_BCQ_TAU, distance=dist, active=act)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +270,7 @@ class SearchOutcome:
 
 
 def eps_kkt_thm_4_1(problem: MIOProblem, u_bar, eps, delta: float,
-                    spec: GridSpec, mu_max: float | None = None) -> SearchOutcome:
+                    spec: GridSpec) -> SearchOutcome:
     """Search the ball grid around a weak eps-minimal point for x_delta
     whose KKT residual fits inside the radius (1/delta) * max(eps)."""
     earr = as_epsilon(eps, problem.n_objectives)
@@ -283,7 +279,7 @@ def eps_kkt_thm_4_1(problem: MIOProblem, u_bar, eps, delta: float,
     if delta <= 0:
         raise ValueError("delta must be > 0")
     pts = feasible_grid(problem, spec)
-    if not is_weak_eps_minimal(problem, u_bar, earr, pts):
+    if point_dominated(problem, value_table(problem, pts), u_bar, earr):
         raise PremiseError("u_bar is not weak eps-minimal on the grid")
     ball = restrict_to_ball(pts, u_bar, delta)
     for z in ball:
@@ -292,7 +288,7 @@ def eps_kkt_thm_4_1(problem: MIOProblem, u_bar, eps, delta: float,
             raise PremiseError(f"BCQ fails at grid point {z.tolist()} inside the ball")
     radius = float(np.max(earr)) / delta
     for z in ball:
-        report = kkt_check(problem, z, radius=radius, mu_max=mu_max)
+        report = kkt_check(problem, z, radius=radius)
         if report.holds:
             return SearchOutcome("holds", z, report, len(ball))
     return SearchOutcome("not-found-at-resolution", None, None, len(ball))
@@ -352,14 +348,13 @@ def _feasible_direction_nd(rows_a: np.ndarray, rows_b: np.ndarray, radius: float
     return "fails" if best > 1e-3 else "inconclusive"
 
 
-def gen_convexity_check(problem: MIOProblem, u0, samples: Sequence,
-                        tau_solver: float | None = None) -> GenConvexReport:
+def gen_convexity_check(problem: MIOProblem, u0, samples: Sequence) -> GenConvexReport:
     """Decide, for each sample u, whether a direction v exists with
     <w, v> <= F_k^c(u)-F_k^c(u0)+F_k^w(u)-F_k^w(u0) for every generator
     of the objective subdifferentials at u0, <z, v> <= g_j(u)-g_j(u0)
     for every constraint subdifferential generator, and ||v|| <= ||u-u0||
     (the unit-ball condition collapses to the norm bound)."""
-    tol = problem.tolerances.tau_solver if tau_solver is None else tau_solver
+    tol = problem.tolerances.tau_solver
     if not feasible(problem, u0):
         raise CertificateError("u0 must be feasible")
     u0_arr = np.asarray(u0, dtype=float)
@@ -422,8 +417,7 @@ class SufficiencyReport:
     qm_confirmed: bool | None
 
 
-def sufficiency_thm_4_3(problem: MIOProblem, u_bar, eps, spec: GridSpec,
-                        mu_max: float | None = None) -> SufficiencyReport:
+def sufficiency_thm_4_3(problem: MIOProblem, u_bar, eps, spec: GridSpec) -> SufficiencyReport:
     """Check the multiplier condition (with eps-scaled ball slack) and
     generalized convexity at u_bar; when both hold, the point must be
     weak eps-quasi-minimal on the grid.  A grid counterexample at that
@@ -432,11 +426,9 @@ def sufficiency_thm_4_3(problem: MIOProblem, u_bar, eps, spec: GridSpec,
     if not np.any(earr > 0):
         raise ValueError("eps must be nonzero")
 
-    _, _, exact = _subdiff_polys(problem, u_bar, active_set(problem, u_bar))
-    if not exact:
+    kkt = kkt_check(problem, u_bar, cor41_eps=earr)
+    if not kkt.exact:
         return SufficiencyReport("inconclusive", None, None, None)
-
-    kkt = kkt_check(problem, u_bar, cor41_eps=earr, mu_max=mu_max)
     if not kkt.holds:
         return SufficiencyReport("hypothesis-failed", kkt, None, None)
     pts = feasible_grid(problem, spec)
@@ -445,8 +437,7 @@ def sufficiency_thm_4_3(problem: MIOProblem, u_bar, eps, spec: GridSpec,
         verdict = "inconclusive" if gc.verdict == "inconclusive" else "hypothesis-failed"
         return SufficiencyReport(verdict, kkt, gc, None)
 
-    qm = is_weak_eps_quasi_minimal(problem, u_bar, earr, pts)
-    if not qm:
+    if point_dominated(problem, value_table(problem, pts), u_bar, earr, quasi=True):
         raise RuntimeError("sufficiency hypotheses hold but the grid refutes "
                            "quasi-minimality: implementation bug")
     return SufficiencyReport("holds", kkt, gc, True)
@@ -464,22 +455,21 @@ class ModKKTOutcome:
     complementarity_value: float | None   # sum(mu_j * g_j(x0))
 
 
-def modified_eps_kkt(problem: MIOProblem, x0, epsilon: float, spec: GridSpec,
-                     mu_max: float | None = None) -> ModKKTOutcome:
+def modified_eps_kkt(problem: MIOProblem, x0, epsilon: float, spec: GridSpec) -> ModKKTOutcome:
     """Search the sqrt(eps) ball around x0 for a point whose multiplier
     combination has norm <= sqrt(eps) while the same mu keeps
     sum(mu_j * g_j(x0)) >= -eps.  With eps = 0 this is exactly the KKT
     check at x0."""
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
-    cap = problem.tolerances.mu_max if mu_max is None else mu_max
+    cap = problem.tolerances.mu_max
     tol = problem.tolerances.tau_solver
     if not feasible(problem, x0):
         raise CertificateError("x0 must be feasible")
     x0_arr = np.asarray(x0, dtype=float)
 
     if epsilon == 0.0:
-        report = kkt_check(problem, x0_arr, radius=0.0, mu_max=cap)
+        report = kkt_check(problem, x0_arr)
         comp = float(np.dot(report.mu, [eval_expr(g, x0_arr) for g in problem.constraints]))
         if report.holds:
             return ModKKTOutcome("holds", x0_arr, report, comp)
@@ -536,15 +526,12 @@ class SequenceReport:
 
 
 def approx_kkt_sequence(problem: MIOProblem, u_bar, xs: Sequence, eps_seq: Sequence[float],
-                        spec: GridSpec, inflate=None,
-                        mu_max: float | None = None) -> SequenceReport:
+                        spec: GridSpec, inflate=None) -> SequenceReport:
     """Verify the approximate-KKT subsequence construction: pick z_i as
     the first tail point whose center/width gaps to u_bar fall below
     eps_i/2, then find y_i within sqrt(eps_i) of z_i whose multiplier
     residual is at most sqrt(eps_i) (widened by max(inflate) when the
     inflated-subdifferential mode is on)."""
-    cap = problem.tolerances.mu_max if mu_max is None else mu_max
-    tol = problem.tolerances.tau_solver
     eps_arr = np.asarray(eps_seq, dtype=float)
     if np.any(eps_arr <= 0):
         raise ValueError("eps sequence entries must be > 0")
@@ -554,7 +541,7 @@ def approx_kkt_sequence(problem: MIOProblem, u_bar, xs: Sequence, eps_seq: Seque
     pts = feasible_grid(problem, spec)
     local_radius = float(np.max(distances(xs_arr, u_arr))) + float(np.sqrt(np.max(eps_arr)))
     local = restrict_to_ball(pts, u_arr, local_radius)
-    if not is_weak_minimal(problem, u_arr, local):
+    if point_dominated(problem, value_table(problem, local), u_arr):
         raise PremiseError("u_bar is not locally weak minimal on the grid ball used")
 
     inflate_radius = 0.0
@@ -583,8 +570,7 @@ def approx_kkt_sequence(problem: MIOProblem, u_bar, xs: Sequence, eps_seq: Seque
         root = float(np.sqrt(eps_i))
         found = None
         for y in restrict_to_ball(pts, z, root):
-            report = kkt_check(problem, y, radius=root + inflate_radius, mu_max=cap,
-                               tau_solver=tol)
+            report = kkt_check(problem, y, radius=root + inflate_radius)
             if report.holds:
                 found = (y, report.residual)
                 break

@@ -24,9 +24,7 @@ from .expr import ExprError
 from .game import Game, GameError
 from .grid import GridError, GridSpec
 from .io import SchemaError
-from .problem import (MIOProblem, Tolerances, as_epsilon, feasible,
-                      is_weak_eps_minimal, is_weak_eps_quasi_minimal,
-                      is_weak_minimal)
+from .problem import MIOProblem, as_epsilon, feasible
 
 _EXIT = {"holds": 0, "fails": 1, "inconclusive": 2,
          "not-found-at-resolution": 2, "hypothesis-failed": 1}
@@ -111,23 +109,25 @@ def _report_line(report: certificates.CertificateReport) -> dict:
 # Command handlers: each returns (verdict, payload)
 # ---------------------------------------------------------------------------
 
+# verify --concept -> (whether it takes --eps, whether the handicap is quasi)
+_CONCEPTS = {"weak-min": (False, False), "weak-eps-min": (True, False),
+             "weak-eps-qmin": (True, True)}
+
+
 def _cmd_verify(args):
     problem, spec = _load_problem(args)
     point = _parse_point(args.point, problem.dim)
     if not feasible(problem, point):
         raise UsageError(f"point {point.tolist()} is infeasible")
     pts = grid_mod.feasible_grid(problem, spec)
-    if args.concept == "weak-min":
-        ok = is_weak_minimal(problem, point, pts)
-    else:
+    takes_eps, quasi = _CONCEPTS[args.concept]
+    eps = 0.0
+    if takes_eps:
         if args.eps is None:
             raise UsageError(f"--eps is required for concept {args.concept}")
-        earr = as_epsilon(_parse_eps(args.eps), problem.n_objectives)
-        if args.concept == "weak-eps-min":
-            ok = is_weak_eps_minimal(problem, point, earr, pts)
-        else:
-            ok = is_weak_eps_quasi_minimal(problem, point, earr, pts)
-    verdict = "holds" if ok else "fails"
+        eps = as_epsilon(_parse_eps(args.eps), problem.n_objectives)
+    table = grid_mod.value_table(problem, pts)
+    verdict = "fails" if grid_mod.point_dominated(problem, table, point, eps, quasi) else "holds"
     return verdict, {"concept": args.concept, "point": point,
                      "grid_size": len(pts), "config": _config(problem, spec)}
 
@@ -395,8 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = cmd("verify", "check a solution concept at a point")
     p.add_argument("--point", required=True)
-    p.add_argument("--concept", required=True,
-                   choices=["weak-min", "weak-eps-min", "weak-eps-qmin"])
+    p.add_argument("--concept", required=True, choices=list(_CONCEPTS))
     p.add_argument("--eps", default=None)
 
     p = cmd("exist", "descend to a weak eps-minimal grid point")

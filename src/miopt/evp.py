@@ -141,33 +141,37 @@ def _evp(table: ValueTable, earr: np.ndarray, i0: int,
     eps_sum = float(np.sum(earr))
     rate = float(np.sum(np.sqrt(earr)))
     sums, merit = _summed(table)
-    handicap = np.array([eps_sum])
-    if np.any(dominated_by(sums, i0, handicap)):
-        raise PremiseError("x0 violates the premise: some grid point sum-dominates it "
-                           "(run descent_eps_minimal first)")
+    return _ekeland(sums, merit, i0, x0, np.array([eps_sum]), rate, eps_sum / rate,
+                    "x0 violates the premise: some grid point sum-dominates it "
+                    "(run descent_eps_minimal first)")
 
-    trace = DescentTrace()
-    i = i0
-    trace.iterates.append(table.points[i].copy())
-    trace.merits.append(float(merit[i]))
+
+def _ekeland(table: ValueTable, merit: np.ndarray, i0: int, x0: Sequence[float],
+             eps: np.ndarray, rate: float, b_bound: float,
+             premise: str) -> tuple[int, EvpCertificate]:
+    """The T-map descent from row i0 (the point x0), whose premise is that
+    no row dominates it after the handicap eps: step to the least-merit
+    point of T(u) until T(u) = {u}.  Any v != u in T(u) has strictly
+    smaller merit, so the descent is finite.  The endpoint's (a) eps-
+    minimality, (b) distance to x0 (at most b_bound) and (c) rate-quasi-
+    minimality are checked on the table."""
+    if np.any(dominated_by(table, i0, eps)):
+        raise PremiseError(premise)
+    i, trace = i0, DescentTrace()
     while True:
-        mask = _t_map(sums, i, rate)
+        trace.iterates.append(table.points[i].copy())
+        trace.merits.append(float(merit[i]))
+        mask = _t_map(table, i, rate)
         if not np.any(mask):
             trace.reason = "T(u) = {u}"
             break
         cand = np.flatnonzero(mask)
-        # any v != u in T(u) has strictly smaller merit: finite descent
         i = int(cand[np.argmin(merit[cand])])
-        trace.iterates.append(table.points[i].copy())
-        trace.merits.append(float(merit[i]))
-
     u_bar = table.points[i].copy()
-    a_holds = not np.any(dominated_by(sums, i, handicap))
-    b_value = float(distances(x0, u_bar))
-    c_holds = not np.any(dominated_by(sums, i, np.array([rate]), quasi=True))
-    cert = EvpCertificate(point=u_bar, a_holds=a_holds, b_value=b_value,
-                          b_bound=eps_sum / rate, c_holds=c_holds, trace=trace)
-    return i, cert
+    a_holds = not np.any(dominated_by(table, i, eps))
+    c_holds = not np.any(dominated_by(table, i, np.full(eps.size, rate), quasi=True))
+    return i, EvpCertificate(point=u_bar, a_holds=a_holds, b_value=float(distances(x0, u_bar)),
+                             b_bound=b_bound, c_holds=c_holds, trace=trace)
 
 
 def evp_descent_vector(problem: MIOProblem, epsilon: float, spec: GridSpec,
@@ -180,37 +184,13 @@ def evp_descent_vector(problem: MIOProblem, epsilon: float, spec: GridSpec,
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
-    m = problem.n_objectives
-    earr = np.full(m, float(epsilon))
     root = float(np.sqrt(epsilon))
     table = _prepare(problem, spec)
     _, merit = _summed(table)
-    i0 = _grid_index(table, x0)
-
-    if np.any(dominated_by(table, i0, earr)):
-        raise PremiseError("x0 is not weak eps-minimal on the grid")
-
-    trace = DescentTrace()
-    i = i0
-    trace.iterates.append(table.points[i].copy())
-    trace.merits.append(float(merit[i]))
-    while True:
-        mask = _t_map(table, i, root)
-        if not np.any(mask):
-            trace.reason = "T(u) = {u}"
-            break
-        cand = np.flatnonzero(mask)
-        i = int(cand[np.argmin(merit[cand])])
-        trace.iterates.append(table.points[i].copy())
-        trace.merits.append(float(merit[i]))
-
-    u_bar = table.points[i].copy()
-    a_holds = not np.any(dominated_by(table, i, earr))
-    b_value = float(distances(x0, u_bar))
-    c_holds = not np.any(dominated_by(table, i, np.full(m, root), quasi=True))
-    cert = EvpCertificate(point=u_bar, a_holds=a_holds, b_value=b_value,
-                          b_bound=root, c_holds=c_holds, trace=trace)
-    return u_bar, cert
+    _, cert = _ekeland(table, merit, _grid_index(table, x0), x0,
+                       np.full(problem.n_objectives, float(epsilon)), root, root,
+                       "x0 is not weak eps-minimal on the grid")
+    return cert.point, cert
 
 
 @dataclass

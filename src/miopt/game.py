@@ -18,9 +18,9 @@ from .certificates import (CertificateReport, PremiseError, SearchOutcome,
 from .expr import (Const, Expr, IVFunction, Var, clarke_subdiff, eval_expr,
                    substitute, weak_gen_gradient)
 from .grid import (GridSpec, IntervalError, _grid_array, default_points_per_dim,
-                   endpoint_values, feasible_grid, grid_points)
-from .problem import (DEFAULT_TOLERANCES, MIOProblem, Tolerances, as_epsilon, distances,
-                      is_weak_eps_minimal, is_weak_eps_quasi_minimal)
+                   dominators_of, endpoint_values, feasible_grid, feasible_rows,
+                   objective_table, point_dominated, value_table)
+from .problem import DEFAULT_TOLERANCES, MIOProblem, Tolerances, as_epsilon
 
 
 class GameError(ValueError):
@@ -149,12 +149,8 @@ def _checked_profile(game: Game, u_bar) -> np.ndarray:
     if not profile_feasible(game, u_arr):
         raise GameError("profile is infeasible for some player")
     for i, pl in enumerate(game.players):
-        own = _grid_array(pl.box_lo, pl.box_hi, player_spec(game, i))
-        profiles = np.repeat(u_arr[None, :], len(own), axis=0)
-        start = game.block_start(i)
-        profiles[:, start:start + pl.dim] = own
         try:
-            endpoint_values(pl.objectives, profiles)
+            endpoint_values(pl.objectives, _deviations(game, i, u_arr)[1])
         except IntervalError as exc:
             raise GameError(f"player {i}: objective {exc.objective} invalid at "
                             f"profile {exc.point}: {exc.detail}") from exc
@@ -164,6 +160,17 @@ def _checked_profile(game: Game, u_bar) -> np.ndarray:
     return u_arr
 
 
+def _deviations(game: Game, i: int, u_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(own, profiles): player i's grid, and u_arr with player i's block
+    replaced by each of its rows."""
+    pl = game.players[i]
+    own = _grid_array(pl.box_lo, pl.box_hi, player_spec(game, i))
+    profiles = np.repeat(u_arr[None, :], len(own), axis=0)
+    start = game.block_start(i)
+    profiles[:, start:start + pl.dim] = own
+    return own, profiles
+
+
 # ---------------------------------------------------------------------------
 # Equilibrium predicates: reduction path (canonical)
 # ---------------------------------------------------------------------------
@@ -171,21 +178,20 @@ def _checked_profile(game: Game, u_bar) -> np.ndarray:
 def is_w_eps_ne(game: Game, u_bar, eps) -> bool:
     """Every player's strategy is weak eps-minimal against the frozen
     opponents on that player's own grid."""
-    return _every_player(game, u_bar, eps, is_weak_eps_minimal)
+    return _every_player(game, u_bar, eps, quasi=False)
 
 
 def is_w_eps_qne(game: Game, u_bar, eps) -> bool:
     """Same with the distance-scaled handicap [0, eps_k * ||u_i - y_i||]."""
-    return _every_player(game, u_bar, eps, is_weak_eps_quasi_minimal)
+    return _every_player(game, u_bar, eps, quasi=True)
 
 
-def _every_player(game: Game, u_bar, eps, minimal) -> bool:
+def _every_player(game: Game, u_bar, eps, quasi: bool) -> bool:
     u_arr = _checked_profile(game, u_bar)
     for i in range(game.n_players):
-        earr = as_epsilon(eps, len(game.players[i].objectives))
         prob = fix_opponents(game, i, u_arr)
-        pts = feasible_grid(prob, player_spec(game, i))
-        if not minimal(prob, game.block(i, u_arr), earr, pts):
+        table = value_table(prob, feasible_grid(prob, player_spec(game, i)))
+        if point_dominated(prob, table, game.block(i, u_arr), eps, quasi):
             return False
     return True
 
@@ -199,32 +205,18 @@ def find_deviation(game: Game, i: int, u_bar, eps, quasi: bool = False):
     loss objective past the handicap; None if no such deviation exists.
 
     Works directly on the full-profile expressions, without the
-    fix_opponents reduction."""
+    fix_opponents reduction: they are evaluated at every feasible
+    deviation profile, and quasi distances are taken in player i's own
+    block."""
     u_arr = np.asarray(u_bar, dtype=float)
     pl = game.players[i]
     earr = as_epsilon(eps, len(pl.objectives))
-    start = game.block_start(i)
-    spec = player_spec(game, i)
-    tau = game.tolerances.tau_feas
-    ui = game.block(i, u_arr)
-    base = [(f.center(u_arr), f.halfwidth(u_arr)) for f in pl.objectives]
-
-    for y in grid_points(pl.box_lo, pl.box_hi, spec):
-        profile = u_arr.copy()
-        profile[start:start + pl.dim] = y
-        if any(eval_expr(g, profile) > tau for g in pl.constraints):
-            continue
-        scale = float(distances(y, ui)) if quasi else 1.0
-        better = True
-        for k, f in enumerate(pl.objectives):
-            shift = earr[k] * scale / 2.0
-            if not (f.center(profile) + shift < base[k][0]
-                    and f.halfwidth(profile) + shift < base[k][1]):
-                better = False
-                break
-        if better:
-            return y
-    return None
+    own, profiles = _deviations(game, i, u_arr)
+    rows = feasible_rows(pl.constraints, profiles, game.tolerances.tau_feas)
+    table = objective_table(pl.objectives, own[rows], profiles[rows])
+    at_u = objective_table(pl.objectives, game.block(i, u_arr)[None, :], u_arr[None, :])
+    hits = np.flatnonzero(dominators_of(table, at_u, earr, quasi))
+    return own[rows[hits[0]]] if hits.size else None
 
 
 def is_w_eps_ne_direct(game: Game, u_bar, eps) -> bool:
@@ -273,9 +265,9 @@ def game_kkt(game: Game, u_bar, eps, mode: str = "thm_5_2",
         prob = fix_opponents(game, i, u_arr)
         spec = player_spec(game, i)
         ui = game.block(i, u_arr)
-        pts = feasible_grid(prob, spec)
         if mode == "thm_5_2":
-            if not is_weak_eps_quasi_minimal(prob, ui, earr, pts):
+            table = value_table(prob, feasible_grid(prob, spec))
+            if point_dominated(prob, table, ui, earr, quasi=True):
                 raise PremiseError(f"player {i}: profile is not a weak "
                                    "eps-quasi equilibrium on its grid")
             report = kkt_check(prob, ui, cor41_eps=earr)

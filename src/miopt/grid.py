@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import IVFunction, eval_points
+from .expr import Expr, IVFunction, eval_points
 from .problem import MIOProblem, as_epsilon, distances, feasible
 
 GRID_CAP = 10**7
@@ -95,15 +95,20 @@ def grid_points(box_lo: Sequence[float], box_hi: Sequence[float], spec: GridSpec
     return list(_grid_array(box_lo, box_hi, spec))
 
 
+def feasible_rows(constraints: Sequence[Expr], pts: np.ndarray, tau: float) -> np.ndarray:
+    """Indices of the rows of pts at which every constraint is <= tau.
+    Each constraint is evaluated only where the earlier ones hold, as the
+    short-circuiting scalar ``feasible`` does."""
+    rows = np.arange(len(pts))
+    for g in constraints:
+        rows = rows[eval_points(g, pts[rows]) <= tau]
+    return rows
+
+
 def feasible_grid(problem: MIOProblem, spec: GridSpec) -> list[np.ndarray]:
     """All grid points satisfying the constraints (may be empty)."""
     pts = _grid_array(problem.box_lo, problem.box_hi, spec)
-    tau = problem.tolerances.tau_feas
-    # each constraint is evaluated only where the earlier ones hold, as
-    # the short-circuiting scalar ``feasible`` does
-    for g in problem.constraints:
-        pts = pts[eval_points(g, pts) <= tau]
-    return list(pts)
+    return list(pts[feasible_rows(problem.constraints, pts, problem.tolerances.tau_feas)])
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +204,17 @@ def endpoint_values(objectives: Sequence[IVFunction], pts: np.ndarray) -> tuple[
     return lower, upper
 
 
+def objective_table(objectives: Sequence[IVFunction], points: np.ndarray,
+                    at: np.ndarray | None = None) -> ValueTable:
+    """The table of the objectives' values at the rows of at (by default
+    the points themselves), indexed by the rows of points."""
+    lower, upper = endpoint_values(objectives, points if at is None else at)
+    return ValueTable(points, (lower + upper) / 2.0, (upper - lower) / 2.0)
+
+
 def value_table(problem: MIOProblem, pts: Sequence[np.ndarray]) -> ValueTable:
-    arr = np.array(pts, dtype=float).reshape(len(pts), problem.dim)
-    lower, upper = endpoint_values(problem.objectives, arr)
-    return ValueTable(arr, (lower + upper) / 2.0, (upper - lower) / 2.0)
+    return objective_table(problem.objectives,
+                           np.array(pts, dtype=float).reshape(len(pts), problem.dim))
 
 
 # elements per temporary array of the blocked all-pairs comparisons
@@ -224,6 +236,31 @@ def dominated_by(table: ValueTable, i, eps: np.ndarray, j=slice(None), *,
         half = eps / 2.0
     shifted = vj + half
     return np.all(shifted < vi if strict else shifted <= vi, axis=(-2, -1))
+
+
+def dominators_of(table: ValueTable, row: ValueTable, eps: np.ndarray,
+                  quasi: bool = False) -> np.ndarray:
+    """Mask of the rows of table that strictly CW-dominate the one row of
+    ``row`` after the handicap of ``dominated_by``.  That row need not be
+    in the table: it joins it as the last row, and ``dominated_by``
+    compares it with every other."""
+    n = len(table.points)
+    joined = ValueTable(np.vstack([table.points, row.points]),
+                        np.hstack([table.centers, row.centers]),
+                        np.hstack([table.widths, row.widths]))
+    return dominated_by(joined, n, eps, slice(0, n), quasi=quasi)
+
+
+def point_dominated(problem: MIOProblem, table: ValueTable, u: Sequence[float], eps=0.0,
+                    quasi: bool = False) -> bool:
+    """Whether some row of a value table of problem strictly CW-dominates
+    the point u, which need not be a grid point, after the handicap
+    [0, eps_k], or [0, eps_k * ||z - u||] when quasi.  With eps = 0 this
+    is the negation of weak minimality, otherwise of weak eps- or weak
+    eps-quasi-minimality, over the table's points.  The row of u is
+    evaluated like every table row, so an invalid interval at u raises."""
+    earr = as_epsilon(eps, problem.n_objectives)
+    return bool(np.any(dominators_of(table, value_table(problem, [u]), earr, quasi)))
 
 
 def _any_dominator(table: ValueTable, rows: np.ndarray, cands: np.ndarray,
@@ -344,23 +381,17 @@ def check_thm_3_3(problem: MIOProblem, u_bar: Sequence[float], eps, spec: GridSp
         raise ValueError("eps must be nonzero")
     if not feasible(problem, u_bar):
         raise ValueError("u_bar must be feasible")
-    pts = feasible_grid(problem, spec)
-    table = value_table(problem, pts)
+    table = value_table(problem, feasible_grid(problem, spec))
     u_arr = np.asarray(u_bar, dtype=float)
-    lower, upper = endpoint_values(problem.objectives, u_arr[None, :])
-    c_bar, w_bar = (lower + upper) / 2.0, (upper - lower) / 2.0
+    bar = value_table(problem, [u_arr])
     merit = np.sum(table.centers + table.widths, axis=0)
-    merit_bar = sum(c + w for c, w in zip(c_bar[:, 0], w_bar[:, 0]))
+    merit_bar = sum(c + w for c, w in zip(bar.centers[:, 0], bar.widths[:, 0]))
     dists = distances(table.points, u_arr)
     lhs = merit + float(np.sum(earr)) * dists
     bad = lhs < merit_bar
     if np.any(bad):
         j = int(np.flatnonzero(bad)[0])
         return Thm33Verdict(False, table.points[j].tolist(), False)
-    # conclusion: u_bar in QM(F, grid, eps); u_bar need not be a grid
-    # point, so it joins the table as one more row
-    n_pts = len(pts)
-    with_bar = ValueTable(np.vstack([table.points, u_arr]), np.hstack([table.centers, c_bar]),
-                          np.hstack([table.widths, w_bar]))
-    ok = not np.any(dominated_by(with_bar, n_pts, earr, slice(0, n_pts), quasi=True))
+    # conclusion: u_bar in QM(F, grid, eps)
+    ok = not np.any(dominators_of(table, bar, earr, quasi=True))
     return Thm33Verdict(True, None, ok)

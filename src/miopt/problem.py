@@ -102,15 +102,15 @@ def distances(points, u) -> np.ndarray:
     return np.linalg.norm(np.asarray(points, dtype=float) - np.asarray(u, dtype=float), axis=-1)
 
 
-def feasible(problem: MIOProblem, u: Sequence[float], tau_feas: float | None = None) -> bool:
+def feasible(problem: MIOProblem, u: Sequence[float]) -> bool:
     """True iff g_j(u) <= tau_feas for every constraint."""
-    tau = problem.tolerances.tau_feas if tau_feas is None else tau_feas
+    tau = problem.tolerances.tau_feas
     return all(eval_expr(g, u) <= tau for g in problem.constraints)
 
 
-def active_set(problem: MIOProblem, u: Sequence[float], tau_act: float | None = None) -> tuple[int, ...]:
+def active_set(problem: MIOProblem, u: Sequence[float]) -> tuple[int, ...]:
     """Indices (0-based) of constraints with |g_j(u)| <= tau_act."""
-    tau = problem.tolerances.tau_act if tau_act is None else tau_act
+    tau = problem.tolerances.tau_act
     return tuple(j for j, g in enumerate(problem.constraints) if abs(eval_expr(g, u)) <= tau)
 
 

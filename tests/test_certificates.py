@@ -1,11 +1,15 @@
+import inspect
+
 import numpy as np
 import pytest
 
+import miopt
 from miopt import (GridSpec, Polytope, approx_kkt_sequence, bcq_check,
                    eps_kkt_thm_4_1, feasible_grid, gen_convexity_check,
                    hull_distance, kkt_check, min_norm_over_multipliers,
                    modified_eps_kkt, sufficiency_thm_4_3)
 from miopt.certificates import CertificateError, PremiseError
+from miopt.problem import active_set, feasible
 from .conftest import make_problem
 
 SPEC = GridSpec(401)
@@ -246,12 +250,46 @@ def test_sufficiency_hypothesis_failed(quad_problem):
     assert rep.verdict == "hypothesis-failed"
 
 
+INEXACT = ("min(u0, -u0) + abs(u0) + u0^2", "min(u0, -u0) + abs(u0) + u0^2 + 1")
+
+
 def test_sufficiency_inexact_is_inconclusive():
-    prob = make_problem(1, [("min(u0, -u0) + abs(u0) + u0^2",
-                             "min(u0, -u0) + abs(u0) + u0^2 + 1")],
-                        [], [-1], [1])
+    prob = make_problem(1, [INEXACT], [], [-1], [1])
     rep = sufficiency_thm_4_3(prob, [0.0], 0.1, GridSpec(101))
     assert rep.verdict == "inconclusive"
+
+
+def test_sufficiency_infeasible_point_raises_even_when_inexact():
+    prob = make_problem(1, [INEXACT], ["0.5-u0"], [-1], [1])
+    with pytest.raises(CertificateError, match="infeasible"):
+        sufficiency_thm_4_3(prob, [0.0], 0.1, GridSpec(101))
+
+
+def test_sufficiency_builds_each_subdifferential_twice(monkeypatch, convexity_problem):
+    calls = []
+    real = miopt.certificates.weak_gen_gradient
+
+    def counted(f, u):
+        calls.append(f)
+        return real(f, u)
+
+    monkeypatch.setattr(miopt.certificates, "weak_gen_gradient", counted)
+    assert sufficiency_thm_4_3(convexity_problem, [0.0], [0.1, 0.1], SPEC).verdict == "holds"
+    # once for the multiplier condition, once for generalized convexity
+    assert len(calls) == 2 * convexity_problem.n_objectives == 4
+
+
+def test_tolerances_come_only_from_the_problem():
+    removed = {
+        kkt_check: ("mu_max", "tau_solver"),
+        eps_kkt_thm_4_1: ("mu_max",), sufficiency_thm_4_3: ("mu_max",),
+        modified_eps_kkt: ("mu_max",), approx_kkt_sequence: ("mu_max", "tau_solver"),
+        gen_convexity_check: ("tau_solver",), feasible: ("tau_feas",), active_set: ("tau_act",),
+        bcq_check: ("tau",), hull_distance: ("tol",), min_norm_over_multipliers: ("max_iter",),
+    }
+    for fn, names in removed.items():
+        assert not set(names) & set(inspect.signature(fn).parameters), fn.__name__
+    assert miopt.certificates.DEFAULT_BCQ_TAU == 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import miopt
-from miopt import (GridSpec, ValueTable, check_prop_2_1, check_thm_3_3, eps_minimal_mask,
-                   evp_descent, evp_descent_vector, feasible_grid, is_weak_eps_minimal,
-                   is_weak_eps_quasi_minimal, quasi_existence, quasi_minimal_mask,
-                   restrict_to_ball, value_table)
+from miopt import (GridSpec, ValueTable, approx_kkt_sequence, check_prop_2_1, check_thm_3_3,
+                   eps_minimal_mask, evp_descent, evp_descent_vector, feasible_grid,
+                   is_weak_eps_minimal, is_weak_eps_quasi_minimal, is_weak_minimal,
+                   quasi_existence, quasi_minimal_mask, restrict_to_ball,
+                   sufficiency_thm_4_3, value_table)
 from miopt.certificates import CertificateError, eps_kkt_thm_4_1
 from miopt.cli import main
 from miopt.evp import DescentError
-from miopt.game import game_kkt
-from miopt.grid import dominated, dominated_by
+from miopt.game import (find_deviation, game_kkt, game_sufficiency, is_w_eps_ne,
+                        is_w_eps_ne_direct, is_w_eps_qne, is_w_eps_qne_direct)
+from miopt.grid import dominated, dominated_by, point_dominated
+from miopt.problem import feasible
 from .conftest import ABS_PROBLEM_JSON, make_problem
 
 
@@ -232,6 +235,14 @@ def test_prop_2_1_report_equals_brute_force(data):
     assert (report.checked, report.violations) == ref_prop21(prob, eps0, spec)
 
 
+def draw_point(data, prob, pts):
+    """A grid point, or a dyadic point between grid points (feasible or not)."""
+    if pts and data.draw(st.booleans()):
+        return pts[data.draw(st.integers(0, len(pts) - 1))]
+    return np.array(data.draw(st.lists(st.integers(-16, 16), min_size=prob.dim,
+                                       max_size=prob.dim))) / 16.0
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_thm_3_3_conclusion_equals_scalar_predicate(data):
@@ -240,7 +251,9 @@ def test_thm_3_3_conclusion_equals_scalar_predicate(data):
     pts = feasible_grid(prob, spec)
     if not pts:
         return
-    u_bar = pts[data.draw(st.integers(0, len(pts) - 1))]
+    u_bar = draw_point(data, prob, pts)
+    if not feasible(prob, u_bar):
+        u_bar = pts[0]
     eps = np.full(prob.n_objectives, data.draw(st.sampled_from([0.25, 1.0, 8.0])))
     verdict = check_thm_3_3(prob, u_bar, eps, spec)
     if verdict.hypothesis_holds:
@@ -255,6 +268,33 @@ def test_thm_3_3_off_grid_point_equals_scalar_predicate():
         verdict = check_thm_3_3(prob, [u], 10.0, spec)
         assert verdict.hypothesis_holds
         assert verdict.conclusion_verified == is_weak_eps_quasi_minimal(prob, [u], 10.0, pts)
+        # the point query over the same grid gives the same answer
+        table = value_table(prob, pts)
+        assert verdict.conclusion_verified == \
+            (not point_dominated(prob, table, [u], 10.0, quasi=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_point_query_equals_scalar_predicates(data):
+    prob = data.draw(problems())
+    spec = grid_spec(data.draw, prob)
+    pts = feasible_grid(prob, spec)
+    u = draw_point(data, prob, pts)
+    # every candidate, a subset of them, or none
+    picks = data.draw(st.sampled_from(["all", "some", "none"]))
+    if picks == "some" and pts:
+        cands = [pts[k] for k in sorted(set(data.draw(
+            st.lists(st.integers(0, len(pts) - 1), max_size=len(pts)))))]
+    else:
+        cands = pts if picks == "all" else []
+    eps = data.draw(epsilons(prob.n_objectives))
+    quasi = data.draw(st.booleans())
+    scalar = is_weak_eps_quasi_minimal if quasi else is_weak_eps_minimal
+    table = value_table(prob, cands)
+    assert point_dominated(prob, table, u, eps, quasi) == (not scalar(prob, u, eps, cands))
+    if not np.any(eps):
+        assert point_dominated(prob, table, u) == (not is_weak_minimal(prob, u, cands))
 
 
 @settings(max_examples=100, deadline=None)
@@ -286,6 +326,68 @@ def test_evp_flags_equal_scalar_predicates(data):
     else:
         with pytest.raises(miopt.PremiseError):
             evp_descent_vector(prob, eps, spec, x0)
+
+
+# ---------------------------------------------------------------------------
+# Every certificate, game and verify path decides with the grid kernel
+# ---------------------------------------------------------------------------
+
+def test_no_production_path_uses_the_scalar_oracle(monkeypatch, abs_problem, convexity_problem,
+                                                   quad_game, abs_problem_file):
+    def scalar(*args):
+        raise AssertionError("scalar domination oracle called")
+
+    monkeypatch.setattr(miopt.problem, "_dominates", scalar)
+    spec = GridSpec(401)
+    assert eps_kkt_thm_4_1(abs_problem, [0.0], [0.25, 0.25], 0.5, spec).verdict == "holds"
+    assert sufficiency_thm_4_3(convexity_problem, [0.0], [0.1, 0.1], spec).verdict == "holds"
+    xs = [[1.0 / i] for i in range(1, 401)]
+    assert approx_kkt_sequence(abs_problem, [0.0], xs, [0.25, 0.0625], spec).all_ok
+    assert check_thm_3_3(abs_problem, [0.0], 0.1, spec).conclusion_verified
+    for profile, eps in (([0.5, 0.5], 0.1), ([0.0, 1.0], 0.01)):
+        ne = is_w_eps_ne(quad_game, profile, eps)
+        qne = is_w_eps_qne(quad_game, profile, eps)
+        assert is_w_eps_ne_direct(quad_game, profile, eps) == ne
+        assert is_w_eps_qne_direct(quad_game, profile, eps) == qne
+        assert (find_deviation(quad_game, 0, profile, eps) is None) == (profile[0] == 0.5)
+    assert all(out.report is not None for out in game_kkt(quad_game, [0.5, 0.5], 0.1))
+    assert all(out.search is not None
+               for out in game_kkt(quad_game, [0.5, 0.5], 0.1, mode="thm_5_1", delta=0.5))
+    assert game_sufficiency(quad_game, [0.5, 0.5], 0.1).verdict == "holds"
+    for concept in ("weak-min", "weak-eps-min", "weak-eps-qmin"):
+        argv = ["verify", "--problem", abs_problem_file, "--point", "0", "--concept", concept,
+                "--eps", "0.1,0.1"]
+        assert main(argv) == 0
+
+
+@pytest.fixture
+def off_grid_invalid_file(tmp_path):
+    """Valid on the load-time grid (401 points), invalid within 1e-7 of
+    0.301, which the 2001-point grid comes within 7e-17 of."""
+    doc = {"dim": 1, "objectives": [{"lower": "0", "upper": "abs(u0-0.301)-0.0000001"}],
+           "constraints": [], "box": {"lo": [-1], "hi": [1]}}
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--point=0.3", "--concept=weak-min"],
+    ["epskkt", "--point=0.3", "--eps=0.1", "--delta=0.5"],
+    ["prop21", "--eps0=0.01"],
+    ["quasi", "--eps=0.1"],
+])
+def test_invalid_interval_on_the_scanned_grid_exits_3(off_grid_invalid_file, capsys, argv):
+    assert main(argv + ["--problem", off_grid_invalid_file]) in (0, 1, 2)
+    capsys.readouterr()
+    assert main(argv + ["--problem", off_grid_invalid_file, "--grid", "2001"]) == 3
+    assert "IVF invalid at [0.30099999999999993]" in capsys.readouterr().err
+
+
+def test_invalid_interval_at_the_queried_point_exits_3(off_grid_invalid_file, capsys):
+    assert main(["verify", "--problem", off_grid_invalid_file, "--point=0.301",
+                 "--concept=weak-min"]) == 3
+    assert "IVF invalid at [0.301]" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

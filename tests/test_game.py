@@ -91,6 +91,58 @@ def test_infeasible_profile_rejected(abs_game):
     assert not profile_feasible(abs_game, [-0.5, 0.5])
 
 
+def ref_find_deviation(game, i, u_bar, eps, quasi=False):
+    """Point-by-point scalar reference: the first grid row of player i
+    that is feasible and strictly improves every loss past the handicap."""
+    from miopt.game import _grid_array, player_spec
+
+    u_arr = np.asarray(u_bar, dtype=float)
+    pl = game.players[i]
+    start = game.block_start(i)
+    ui = game.block(i, u_arr)
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), (len(pl.objectives),))
+    base = [(f.center(u_arr), f.halfwidth(u_arr)) for f in pl.objectives]
+    for y in _grid_array(pl.box_lo, pl.box_hi, player_spec(game, i)):
+        profile = u_arr.copy()
+        profile[start:start + pl.dim] = y
+        if any(eval_expr(g, profile) > game.tolerances.tau_feas for g in pl.constraints):
+            continue
+        scale = float(np.linalg.norm((y - ui)[None, :], axis=1)[0]) if quasi else 1.0
+        if all(f.center(profile) + eps[k] * scale / 2.0 < base[k][0]
+               and f.halfwidth(profile) + eps[k] * scale / 2.0 < base[k][1]
+               for k, f in enumerate(pl.objectives)):
+            return y
+    return None
+
+
+@pytest.fixture
+def constrained_game():
+    """Two objectives per player, a constraint that cuts each player's
+    grid, and losses that couple the blocks."""
+    p0 = make_player(3, [("abs(u0-u2)", "2*abs(u0-u2)+u1^2"), ("u0^2", "3*u0^2+abs(u1)")],
+                     ["u0-0.75"], [-1.0], [1.0], ppd=33)
+    p1 = make_player(3, [("(u1-u0)^2+abs(u2)", "2*(u1-u0)^2+3*abs(u2)+0.5")],
+                     ["u1^2+u2^2-1"], [-1.0, -1.0], [1.0, 1.0], ppd=9)
+    return Game(players=(p0, p1))
+
+
+def test_find_deviation_equals_scalar_reference(quad_game, abs_game, constrained_game):
+    rng = np.random.default_rng(7)
+    for game in (quad_game, abs_game, constrained_game):
+        for _ in range(12):
+            profile = rng.uniform(0, 0.5, size=game.profile_dim)
+            eps = float(rng.choice([0.0, 0.01, 0.05, 0.2]))
+            for i in range(game.n_players):
+                for quasi in (False, True):
+                    got = find_deviation(game, i, profile, eps, quasi)
+                    want = ref_find_deviation(game, i, profile, eps, quasi)
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        assert np.array_equal(got, want)
+            assert is_w_eps_ne(game, profile, eps) == is_w_eps_ne_direct(game, profile, eps)
+            assert is_w_eps_qne(game, profile, eps) == is_w_eps_qne_direct(game, profile, eps)
+
+
 def test_two_code_paths_agree(quad_game, abs_game):
     rng = np.random.default_rng(31)
     for game in (quad_game, abs_game):
