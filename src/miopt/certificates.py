@@ -1,36 +1,103 @@
-"""KKT-type certificate machinery.
+"""KKT-type certificate machinery on one exact solver.
 
-Membership conditions of the form 0 in sum(lambda_k * P_k) + sum(mu_j *
-Q_j) + r*B are decided by a min-norm computation over the equivalent
-convex body co(union P_k) + sum_j {t*v : t in [0, mu_max], v in Q_j}:
-the ball term is never materialized, it is radius slack on the residual
-(0 in C + r*B iff dist(0, C) <= r).
+Every convex decision here asks for the point of a polytope or
+polyhedral cone nearest the origin, and one method answers them all:
+Lawson and Hanson's NNLS (Solving Least Squares Problems, 1974, ch. 23),
+which ends after finitely many least-squares solves, through their
+reduction of a least-distance program (LDP) to one NNLS.
 
-The solver is a pairwise conditional-gradient method with exact line
-search; its linear-minimization oracle is plain generator enumeration,
-and atom weights are kept so multipliers and witness subgradients can
-be read back out of the final iterate.
+- KKT-type conditions and BCQ: the distance from 0 to C =
+  co(objective generators) + cone(constraint generators).  A ball term
+  r*B is never built: 0 in C + r*B iff dist(0, C) <= r.
+- Generalized convexity: per sample, whether {Av <= b, ||v|| <= r} is
+  feasible, i.e. whether the LDP min ||v|| s.t. Av <= b has ||v|| <= r.
+
+Every verdict is checked apart from the solver.  A ``holds`` comes with
+the multipliers or the direction that show it.  A ``fails`` comes with a
+witness: for KKT, the nearest point y separates 0 from C (<h, y> >= 0 on
+every cone generator, up to rounding, and min_g <g, y>/||y|| above the
+threshold); for generalized convexity, a Farkas vector y >= 0 with
+b.y + r ||A^T y|| < 0.  When neither check passes, the verdict is
+``inconclusive``.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .expr import Polytope, clarke_subdiff, eval_expr, weak_gen_gradient
+from .expr import Polytope, clarke_subdiff, eval_expr, eval_points, weak_gen_gradient
 from .grid import GridSpec, feasible_grid, point_dominated, value_table
 from .problem import (CertificateError, MIOProblem, PremiseError, active_set, as_epsilon,
                       distances, feasible, restrict_to_ball)
 
-MAX_SOLVER_ITERS = 10**5
 DEFAULT_BCQ_TAU = 1e-6
+EPS = float(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
-# Min-norm solver
+# The solver
 # ---------------------------------------------------------------------------
+
+def nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, int]:
+    """Lawson-Hanson NNLS: x >= 0 minimizing ||E x - f||, and the number
+    of least-squares solves it took.
+
+    The columns are scaled to unit norm first (x scales back), so the
+    column that enters the passive set is the one most correlated with
+    the residual, if positively; it is refused when its least-squares
+    coefficient is not positive.  Every accepted step lowers the
+    residual, so no passive set repeats and the loop ends; a step that
+    fails to lower it in floating point ends it too."""
+    n = E.shape[1]
+    norms = np.sqrt((E * E).sum(axis=0))
+    norms[norms == 0.0] = 1.0
+    E = E / norms
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    best = float(f @ f)
+    tol = 10.0 * max(E.shape) * EPS * math.sqrt(best)
+    dual = E.T @ f
+    solves = 0
+    while True:
+        dual[passive] = -np.inf
+        t = int(dual.argmax())
+        if not dual[t] > tol:
+            return x / norms, solves
+        trial = passive.copy()
+        trial[t] = True
+        z = _least_squares(E, f, trial)
+        solves += 1
+        if not z[t] > 0.0:
+            dual[t] = -np.inf   # refused until the next accepted step
+            continue
+        y = x
+        while (z[trial] <= 0.0).any():
+            # step from y towards z until the first passive coefficient hits 0
+            blocked = (trial & (z <= 0.0)).nonzero()[0]
+            ratios = y[blocked] / (y[blocked] - z[blocked])
+            k = int(ratios.argmin())
+            y = y + float(ratios[k]) * (z - y)
+            y[blocked[k]] = 0.0
+            trial &= y > 0.0
+            z = _least_squares(E, f, trial)
+            solves += 1
+        r = f - E @ z
+        rr = float(r @ r)
+        if not rr < best:
+            return x / norms, solves
+        x, passive, best, dual = z, trial, rr, E.T @ r
+
+
+def _least_squares(E: np.ndarray, f: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    z = np.zeros(E.shape[1])
+    z[cols] = np.linalg.lstsq(E[:, cols], f, rcond=None)[0]
+    return z
+
 
 @dataclass
 class MinNormResult:
@@ -39,15 +106,25 @@ class MinNormResult:
     mu: np.ndarray                # one nonnegative multiplier per constraint factor
     obj_witnesses: list           # one point per objective polytope
     con_witnesses: list           # one point per constraint polytope
-    iterations: int
-    gap: float
+    iterations: int               # least-squares solves of the NNLS
+    gap: float                    # residual minus the lower bound that y certifies
     mu_capped: bool
 
 
 def min_norm_over_multipliers(obj_polys: Sequence[Polytope], con_polys: Sequence[Polytope],
                               mu_max: float, tol: float = 1e-8) -> MinNormResult:
-    """Approximately minimize ||x + sum_j t_j v_j|| with x in
-    co(union of obj_polys), t_j in [0, mu_max], v_j in con_polys[j]."""
+    """The point y = sum_k lam_k x_k + sum_j mu_j z_j nearest the origin,
+    with lam on the simplex, x_k in obj_polys[k], z_j in con_polys[j] and
+    0 <= mu_j <= mu_max (mu_max = inf for the cone).
+
+    It solves the least-distance program min ||z|| s.t. <g, z> >= 1 on
+    the hull generators g and <h, z> >= 0 on the cone generators h as one
+    NNLS.  A finite cap makes each constraint factor the polytope
+    mu_max * co({0} | Q_j): the hull generators are then every sum of an
+    objective generator and one vertex per factor, and there is no cone.
+    ``gap`` is ||y|| minus the lower bound min_g <g, y>/||y|| on the
+    distance, which y certifies when <h, y> >= -tol ||h|| ||y|| on every
+    cone generator h (with no bound, the gap is ||y||)."""
     if not obj_polys:
         raise CertificateError("need at least one objective polytope")
     if mu_max <= 0:
@@ -57,101 +134,62 @@ def min_norm_over_multipliers(obj_polys: Sequence[Polytope], con_polys: Sequence
         if p.dim != dim:
             raise CertificateError("polytope dimensions do not match")
 
-    # tagged union of objective generators
-    v0 = [(k, np.asarray(g, dtype=float))
-          for k, p in enumerate(obj_polys) for g in p.generators]
-    # each constraint factor: {0} union mu_max * generators
-    factors = [[np.zeros(dim)] + [mu_max * np.asarray(g, dtype=float) for g in p.generators]
-               for p in con_polys]
+    obj = [np.array(p.generators, dtype=float) for p in obj_polys]
+    con = [np.array(p.generators, dtype=float) for p in con_polys]
+    gens = np.vstack(obj)
+    if math.isinf(mu_max):
+        hull, cone = gens, np.vstack(con) if con else np.zeros((0, dim))
+    else:
+        # one hull generator per choice of objective generator and vertex per factor
+        picks = np.array(list(itertools.product(range(len(gens)),
+                                                *(range(len(q) + 1) for q in con))))
+        hull = gens[picks[:, 0]]
+        for j, q in enumerate(con):
+            hull = hull + np.vstack([np.zeros(dim), mu_max * q])[picks[:, j + 1]]
+        cone = np.zeros((0, dim))
+    e = np.vstack([np.hstack([hull.T, cone.T]),
+                   np.concatenate([np.ones(len(hull)), np.zeros(len(cone))])])
+    u, iters = nnls(e, np.eye(dim + 1)[dim])
+    u /= u[:len(hull)].sum()
+    if math.isinf(mu_max):
+        lam_g, mu_g = u[:len(hull)], u[len(hull):]
+    else:
+        lam_g = np.bincount(picks[:, 0], u, len(gens))
+        mu_g = np.concatenate([mu_max * np.bincount(picks[:, j + 1], u, len(q) + 1)[1:]
+                               for j, q in enumerate(con)] + [np.zeros(0)])
 
-    v0_vecs = [g for _, g in v0]
-
-    def atom_vec(key):
-        i0, choices = key
-        v = v0_vecs[i0].copy()
-        for j, c in enumerate(choices):
-            if c:
-                v += factors[j][c]
-        return v
-
-    start = (0, tuple(0 for _ in factors))
-    weights: dict = {start: 1.0}
-    vecs = {start: atom_vec(start)}
-
-    gap = float("inf")
-    it = 0
-    for it in range(1, MAX_SOLVER_ITERS + 1):
-        y = sum(w * vecs[a] for a, w in weights.items())
-        # FW atom: per-factor linear minimization
-        i0 = min(range(len(v0_vecs)), key=lambda i: float(np.dot(v0_vecs[i], y)))
-        choices = []
-        for j, ch in enumerate(factors):
-            best = min(range(len(ch)), key=lambda c: float(np.dot(ch[c], y)))
-            choices.append(best)
-        s_key = (i0, tuple(choices))
-        if s_key not in vecs:
-            vecs[s_key] = atom_vec(s_key)
-        s_vec = vecs[s_key]
-        gap = float(np.dot(y, y - s_vec))
-        if gap <= tol:
-            break
-        # away atom: worst active atom in the gradient direction
-        v_key = max(weights, key=lambda a: float(np.dot(vecs[a], y)))
-        d = s_vec - vecs[v_key]
-        dd = float(np.dot(d, d))
-        if dd == 0.0:
-            break
-        gamma = min(max(-float(np.dot(y, d)) / dd, 0.0), weights[v_key])
-        if gamma == 0.0:
-            break
-        weights[s_key] = weights.get(s_key, 0.0) + gamma
-        weights[v_key] -= gamma
-        if weights[v_key] <= 1e-15:
-            del weights[v_key]
-
-    total = sum(weights.values())
-    weights = {a: w / total for a, w in weights.items()}
-
-    m = len(obj_polys)
-    p = len(con_polys)
-    lam = np.zeros(m)
-    obj_parts = [np.zeros(dim) for _ in range(m)]
-    mu = np.zeros(p)
-    con_parts = [np.zeros(dim) for _ in range(p)]
-    for (i0, choices), w in weights.items():
-        k = v0[i0][0]
-        lam[k] += w
-        obj_parts[k] += w * v0_vecs[i0]
-        for j, c in enumerate(choices):
-            if c:
-                mu[j] += w * mu_max
-                con_parts[j] += w * factors[j][c]
-
-    obj_witnesses = []
-    for k in range(m):
-        if lam[k] > 0:
-            obj_witnesses.append(obj_parts[k] / lam[k])
-        else:
-            obj_witnesses.append(np.asarray(obj_polys[k].generators[0], dtype=float))
-    con_witnesses = []
-    for j in range(p):
-        if mu[j] > 0:
-            con_witnesses.append(con_parts[j] / mu[j])
-        else:
-            con_witnesses.append(np.asarray(con_polys[j].generators[0], dtype=float))
-
-    combo = sum(lam[k] * obj_witnesses[k] for k in range(m)) + \
-        sum(mu[j] * con_witnesses[j] for j in range(p))
+    lam, obj_witnesses = _split(lam_g, obj)
+    mu, con_witnesses = _split(mu_g, con)
+    combo = sum(lk * w for lk, w in zip(lam, obj_witnesses))
+    combo = combo + sum(mj * z for mj, z in zip(mu, con_witnesses))
     residual = float(np.linalg.norm(combo))
-    mu_capped = bool(np.any(mu > mu_max * (1.0 - 1e-9)))
+    gap = 0.0
+    if residual > 0.0:
+        y = combo / residual
+        separated = (cone @ y >= -tol * np.sqrt((cone * cone).sum(axis=1))).all()
+        gap = residual - max(float((hull @ y).min()), 0.0) if separated else residual
     return MinNormResult(residual=residual, lam=lam, mu=mu,
                          obj_witnesses=obj_witnesses, con_witnesses=con_witnesses,
-                         iterations=it, gap=gap, mu_capped=mu_capped)
+                         iterations=iters, gap=gap,
+                         mu_capped=bool((mu > mu_max * (1.0 - 1e-9)).any()))
+
+
+def _split(weights: np.ndarray, parts: list) -> tuple[np.ndarray, list]:
+    """Per-polytope multiplier (its generators' summed weight) and witness
+    point (their weighted mean, or the first generator at weight 0), for
+    weights listed polytope by polytope over the generator arrays parts."""
+    totals, points, i = [], [], 0
+    for q in parts:
+        w = weights[i:i + len(q)]
+        i += len(q)
+        totals.append(float(w.sum()))
+        points.append(w @ q / totals[-1] if totals[-1] > 0.0 else q[0])
+    return np.array(totals), points
 
 
 def hull_distance(polys: Sequence[Polytope]) -> float:
     """Distance from the origin to co(union of polys)."""
-    return min_norm_over_multipliers(polys, [], mu_max=1.0).residual
+    return min_norm_over_multipliers(polys, [], mu_max=math.inf).residual
 
 
 # ---------------------------------------------------------------------------
@@ -202,21 +240,24 @@ def kkt_check(problem: MIOProblem, u_bar, radius: float = 0.0,
               cor41_eps=None) -> CertificateReport:
     """Membership of 0 in sum(lambda_k * dF_k) + sum(mu_j * dg_j) + r*B at
     a feasible point, with complementarity enforced structurally (mu is
-    supported on the active set only).
+    supported on the active set only) and no bound on mu
+    (``Tolerances.mu_max`` is only reported).
 
     With ``cor41_eps`` the radius is multiplier-dependent: the residual
     must come in under sum(lambda_k * eps_k) for the recovered lambda.
+    ``fails`` needs exact subdifferentials and a nearest point whose
+    separation bound (residual - gap) clears the threshold; otherwise a
+    residual above the threshold is ``inconclusive``.
     """
     tol = problem.tolerances.tau_solver
-    cap = problem.tolerances.mu_max
     if radius < 0:
         raise CertificateError("radius must be >= 0")
     if not feasible(problem, u_bar):
-        raise CertificateError(f"point {list(np.asarray(u_bar, dtype=float))} is infeasible")
+        raise CertificateError(f"point {np.asarray(u_bar, dtype=float).tolist()} is infeasible")
 
     act = active_set(problem, u_bar)
     obj_polys, con_polys, exact = _subdiff_polys(problem, u_bar, act)
-    res = min_norm_over_multipliers(obj_polys, con_polys, mu_max=cap, tol=tol)
+    res = min_norm_over_multipliers(obj_polys, con_polys, mu_max=math.inf, tol=tol)
 
     allowance = radius
     if cor41_eps is not None:
@@ -224,12 +265,16 @@ def kkt_check(problem: MIOProblem, u_bar, radius: float = 0.0,
         allowance = radius + float(np.dot(res.lam, earr))
     threshold = allowance + tol
 
-    verdict = "holds" if res.residual <= threshold else "fails"
-    if verdict == "fails" and not exact:
-        # only a superset was refuted; the true set may still contain 0
+    if res.residual <= threshold:
+        verdict = "holds"
+    elif exact and res.residual - res.gap > threshold:
+        verdict = "fails"
+    else:
+        # only a superset was refuted, or the nearest point does not
+        # separate 0 from the set by more than the threshold
         verdict = "inconclusive"
     return _report(problem, res, act, verdict, exact, threshold,
-                   {"tau_solver": tol, "mu_max": cap, "radius": radius})
+                   {"tau_solver": tol, "mu_max": problem.tolerances.mu_max, "radius": radius})
 
 
 @dataclass
@@ -248,7 +293,7 @@ def bcq_check(problem: MIOProblem, u) -> BCQReport:
     fails iff the origin lies in co(union of active-constraint
     subdifferentials).  Vacuously true with no active constraints."""
     if not feasible(problem, u):
-        raise CertificateError(f"point {list(np.asarray(u, dtype=float))} is infeasible")
+        raise CertificateError(f"point {np.asarray(u, dtype=float).tolist()} is infeasible")
     act = active_set(problem, u)
     if not act:
         return BCQReport(holds=True, distance=None, active=())
@@ -303,49 +348,12 @@ class GenConvexReport:
     verdict: str                  # holds | fails | inconclusive
     samples_checked: int
     infeasible_samples: list = field(default_factory=list)
-    stalled_samples: list = field(default_factory=list)
+    stalled_samples: list = field(default_factory=list)   # neither witness checked out
+    farkas: list = field(default_factory=list)   # one witness y per infeasible sample
 
     @property
     def holds(self) -> bool:
         return self.verdict == "holds"
-
-
-def _feasible_direction_1d(rows: list[tuple[float, float]], radius: float, tol: float) -> bool:
-    lo, hi = -radius, radius
-    for a, b in rows:
-        if a > 1e-15:
-            hi = min(hi, b / a)
-        elif a < -1e-15:
-            lo = max(lo, b / a)
-        elif b < -tol:
-            return False
-    return lo <= hi + tol
-
-
-def _feasible_direction_nd(rows_a: np.ndarray, rows_b: np.ndarray, radius: float,
-                           tol: float, iters: int = 4000) -> str:
-    """Projected subgradient on the max constraint violation over the
-    ball ||v|| <= radius; returns holds/fails/inconclusive."""
-    v = np.zeros(rows_a.shape[1])
-    best = float("inf")
-    for _ in range(iters):
-        viol = rows_a @ v - rows_b
-        i = int(np.argmax(viol))
-        phi = float(viol[i])
-        best = min(best, phi)
-        if best <= tol:
-            return "holds"
-        g = rows_a[i]
-        gg = float(np.dot(g, g))
-        if gg == 0.0:
-            break
-        v = v - (phi / gg) * g
-        nv = float(np.linalg.norm(v))
-        if nv > radius:
-            v = v * (radius / nv) if radius > 0 else np.zeros_like(v)
-    if best <= tol:
-        return "holds"
-    return "fails" if best > 1e-3 else "inconclusive"
 
 
 def gen_convexity_check(problem: MIOProblem, u0, samples: Sequence) -> GenConvexReport:
@@ -353,50 +361,52 @@ def gen_convexity_check(problem: MIOProblem, u0, samples: Sequence) -> GenConvex
     <w, v> <= F_k^c(u)-F_k^c(u0)+F_k^w(u)-F_k^w(u0) for every generator
     of the objective subdifferentials at u0, <z, v> <= g_j(u)-g_j(u0)
     for every constraint subdifferential generator, and ||v|| <= ||u-u0||
-    (the unit-ball condition collapses to the norm bound)."""
+    (the unit-ball condition collapses to the norm bound).
+
+    Written Av <= b, ||v|| <= r, a sample holds when the nearest v of
+    the LDP min ||v|| s.t. Av <= b + tau_solver/2 meets Av <= b +
+    tau_solver and ||v|| <= r + tau_solver (v = 0 where b >= -tau_solver,
+    with no solve), and fails when the NNLS solution y is a Farkas
+    witness, y >= 0 with b.y + r ||A^T y|| < 0; otherwise it is stalled.
+    Values come from one value table, so an invalid interval at a sample
+    or at u0 raises IntervalError."""
     tol = problem.tolerances.tau_solver
     if not feasible(problem, u0):
         raise CertificateError("u0 must be feasible")
     u0_arr = np.asarray(u0, dtype=float)
-    n = problem.dim
+    pts = np.array(samples, dtype=float).reshape(len(samples), problem.dim)
 
-    obj_rows = []   # (generator, objective index)
-    for k, f in enumerate(problem.objectives):
-        poly = weak_gen_gradient(f, u0_arr)
-        for g in poly.generators:
-            obj_rows.append((np.asarray(g, dtype=float), k))
-    con_rows = []
-    for j, g_expr in enumerate(problem.constraints):
-        poly = clarke_subdiff(g_expr, u0_arr)
-        for g in poly.generators:
-            con_rows.append((np.asarray(g, dtype=float), j))
+    polys = [weak_gen_gradient(f, u0_arr) for f in problem.objectives] + \
+            [clarke_subdiff(g, u0_arr) for g in problem.constraints]
+    a = np.array([g for p in polys for g in p.generators], dtype=float)
+    owner = np.repeat(np.arange(len(polys)), [len(p.generators) for p in polys])
 
-    f0 = [(f.center(u0_arr), f.halfwidth(u0_arr)) for f in problem.objectives]
-    g0 = [eval_expr(g, u0_arr) for g in problem.constraints]
+    # column -1 is u0
+    at = np.vstack([pts, u0_arr])
+    table = value_table(problem, at)
+    c, w = table.centers, table.widths
+    g = np.array([eval_points(e, at) for e in problem.constraints]).reshape(-1, len(at))
+    rhs = np.vstack([c[:, :-1] - c[:, -1:] + w[:, :-1] - w[:, -1:], g[:, :-1] - g[:, -1:]])
+    b_rows = rhs[owner].T
+    radii = distances(pts, u0_arr)
 
-    report = GenConvexReport(verdict="holds", samples_checked=0)
-    for u in samples:
-        u_arr = np.asarray(u, dtype=float)
-        report.samples_checked += 1
-        radius = float(distances(u_arr, u0_arr))
-        rhs_obj = [problem.objectives[k].center(u_arr) - f0[k][0]
-                   + problem.objectives[k].halfwidth(u_arr) - f0[k][1]
-                   for k in range(problem.n_objectives)]
-        rhs_con = [eval_expr(problem.constraints[j], u_arr) - g0[j]
-                   for j in range(problem.n_constraints)]
-        rows = [(vec, rhs_obj[k]) for vec, k in obj_rows] + \
-               [(vec, rhs_con[j]) for vec, j in con_rows]
-        if n == 1:
-            ok = _feasible_direction_1d([(float(vec[0]), b) for vec, b in rows], radius, tol)
-            status = "holds" if ok else "fails"
+    report = GenConvexReport(verdict="holds", samples_checked=len(pts))
+    f = np.eye(problem.dim + 1)[problem.dim]
+    for i in np.flatnonzero(np.any(b_rows < -tol, axis=1)):
+        b, r = b_rows[i], float(radii[i])
+        # the LDP keeps half the slack, so its rounding fits in the rest
+        y, _ = nnls(np.vstack([-a.T, -(b + tol / 2)]), f)
+        aty = a.T @ y
+        den = 1.0 + float((b + tol / 2) @ y)
+        if den > 0.0:
+            v = -aty / den
+            if np.linalg.norm(v) <= r + tol and (a @ v <= b + tol).all():
+                continue
+        if (y >= 0.0).all() and float(b @ y) + r * float(np.linalg.norm(aty)) < 0.0:
+            report.infeasible_samples.append(pts[i].tolist())
+            report.farkas.append(y)
         else:
-            a = np.array([vec for vec, _ in rows])
-            b = np.array([bb for _, bb in rows])
-            status = _feasible_direction_nd(a, b, radius, tol)
-        if status == "fails":
-            report.infeasible_samples.append(u_arr.tolist())
-        elif status == "inconclusive":
-            report.stalled_samples.append(u_arr.tolist())
+            report.stalled_samples.append(pts[i].tolist())
 
     if report.infeasible_samples:
         report.verdict = "fails"
@@ -426,18 +436,20 @@ def sufficiency_thm_4_3(problem: MIOProblem, u_bar, eps, spec: GridSpec) -> Suff
     if not np.any(earr > 0):
         raise ValueError("eps must be nonzero")
 
+    # the grid every stage decides on; its table checks every interval first
+    pts = feasible_grid(problem, spec)
+    table = value_table(problem, pts)
     kkt = kkt_check(problem, u_bar, cor41_eps=earr)
     if not kkt.exact:
         return SufficiencyReport("inconclusive", None, None, None)
     if not kkt.holds:
         return SufficiencyReport("hypothesis-failed", kkt, None, None)
-    pts = feasible_grid(problem, spec)
     gc = gen_convexity_check(problem, u_bar, pts)
     if not gc.holds:
         verdict = "inconclusive" if gc.verdict == "inconclusive" else "hypothesis-failed"
         return SufficiencyReport(verdict, kkt, gc, None)
 
-    if point_dominated(problem, value_table(problem, pts), u_bar, earr, quasi=True):
+    if point_dominated(problem, table, u_bar, earr, quasi=True):
         raise RuntimeError("sufficiency hypotheses hold but the grid refutes "
                            "quasi-minimality: implementation bug")
     return SufficiencyReport("holds", kkt, gc, True)
@@ -462,7 +474,6 @@ def modified_eps_kkt(problem: MIOProblem, x0, epsilon: float, spec: GridSpec) ->
     check at x0."""
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
-    cap = problem.tolerances.mu_max
     tol = problem.tolerances.tau_solver
     if not feasible(problem, x0):
         raise CertificateError("x0 must be feasible")
@@ -488,11 +499,12 @@ def modified_eps_kkt(problem: MIOProblem, x0, epsilon: float, spec: GridSpec) ->
         # mu confined to constraints that cannot break it
         for subset in (all_j, near_active):
             obj_polys, con_polys, exact = _subdiff_polys(problem, x, subset)
-            res = min_norm_over_multipliers(obj_polys, con_polys, mu_max=cap, tol=tol)
+            res = min_norm_over_multipliers(obj_polys, con_polys, mu_max=math.inf, tol=tol)
             if res.residual > root + tol:
                 continue
             report = _report(problem, res, subset, "holds", exact, root + tol,
-                             {"tau_solver": tol, "mu_max": cap, "epsilon": epsilon})
+                             {"tau_solver": tol, "mu_max": problem.tolerances.mu_max,
+                              "epsilon": epsilon})
             comp = float(np.dot(report.mu, g_at_x0))
             if comp < -epsilon - tol:
                 continue

@@ -502,31 +502,17 @@ class Polytope:
         return max(float(np.dot(g, warr)) for g in self.generators)
 
     def hull_vertices(self) -> tuple[tuple[float, ...], ...]:
-        """Generators with points interior to the hull of the rest removed
-        (canonical set for comparing polytopes as sets)."""
-        pts = [np.array(g) for g in dict.fromkeys(self.generators)]
-        if len(pts) == 1:
-            return (tuple(pts[0]),)
-        if self.dim == 1:
-            vals = sorted(p[0] for p in pts)
-            lo, hi = vals[0], vals[-1]
-            return ((lo,),) if lo == hi else ((lo,), (hi,))
-        keep = []
-        for i, p in enumerate(pts):
-            others = [q for j, q in enumerate(pts) if j != i]
-            if not _in_hull(p, others):
-                keep.append(tuple(p))
-        return tuple(keep) if keep else (tuple(pts[0]),)
+        """Generators with points in the hull of the rest removed
+        (canonical set for comparing polytopes as sets).  A point is in
+        the hull of the others when its distance to it is 0, up to a
+        rounding slack of 1e-12."""
+        from .certificates import hull_distance  # lazy: loading a problem needs no solver
 
-
-def _in_hull(p: np.ndarray, pts: list[np.ndarray]) -> bool:
-    from scipy.optimize import linprog
-
-    k = len(pts)
-    a_eq = np.vstack([np.array(pts).T, np.ones((1, k))])
-    b_eq = np.concatenate([p, [1.0]])
-    res = linprog(np.zeros(k), A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * k, method="highs")
-    return bool(res.success)
+        pts = list(dict.fromkeys(self.generators))
+        keep = [p for i, p in enumerate(pts) if len(pts) == 1 or hull_distance(
+            [Polytope(self.dim, tuple(tuple(np.subtract(q, p)) for q in pts[:i] + pts[i + 1:]),
+                      True)]) > 1e-12]
+        return tuple(keep) if keep else (pts[0],)
 
 
 # ---------------------------------------------------------------------------

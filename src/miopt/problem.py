@@ -21,7 +21,7 @@ class Tolerances:
     tau_feas: float = 1e-9
     tau_act: float = 1e-6
     tau_solver: float = 1e-8
-    mu_max: float = 1e3
+    mu_max: float = 1e3       # reported only: no check bounds the multipliers
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -1,14 +1,19 @@
 import inspect
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import nnls as scipy_nnls
 
 import miopt
-from miopt import (GridSpec, Polytope, approx_kkt_sequence, bcq_check,
-                   eps_kkt_thm_4_1, feasible_grid, gen_convexity_check,
+from miopt import (GridSpec, Polytope, approx_kkt_sequence, bcq_check, clarke_subdiff,
+                   eps_kkt_thm_4_1, eval_expr, feasible_grid, gen_convexity_check,
                    hull_distance, kkt_check, min_norm_over_multipliers,
-                   modified_eps_kkt, sufficiency_thm_4_3)
-from miopt.certificates import CertificateError, PremiseError
+                   modified_eps_kkt, sufficiency_thm_4_3, weak_gen_gradient)
+from miopt.certificates import CertificateError, PremiseError, nnls
 from miopt.problem import active_set, feasible
 from .conftest import make_problem
 
@@ -76,6 +81,80 @@ def test_min_norm_matches_1d_enumeration():
         assert res.residual == pytest.approx(expected, abs=1e-8)
 
 
+def test_min_norm_2d_hull_containing_the_origin():
+    # 0 = ((-6, -3) + 3*(9, 1) + 21*(-1, 0)) / 25 lies inside the triangle; a
+    # stopping rule on the squared gap left a residual of 9e-8 here
+    tri = Polytope(2, ((-6.0, -3.0), (9.0, 1.0), (-1.0, 0.0)), True)
+    assert hull_distance([tri]) <= 1e-12
+    res = min_norm_over_multipliers([tri], [], mu_max=1e3)
+    assert res.residual <= 1e-12
+    assert res.obj_witnesses[0] == pytest.approx([0.0, 0.0], abs=1e-12)
+
+
+def test_min_norm_cap_keeps_its_meaning():
+    # 0 in co({1, 2}) + [0, cap] * co({0, -1e-4}) needs cap >= 1e4
+    obj, con = [poly1(1, 2)], [poly1(-1e-4)]
+    capped = min_norm_over_multipliers(obj, con, mu_max=1e3)
+    assert capped.residual == pytest.approx(0.9, abs=1e-12)
+    assert capped.mu_capped and capped.mu[0] == pytest.approx(1e3)
+    cone = min_norm_over_multipliers(obj, con, mu_max=np.inf)
+    assert cone.residual <= 1e-12 and not cone.mu_capped
+    assert cone.mu[0] == pytest.approx(1e4, rel=1e-9)
+
+
+def _dims_and_columns():
+    return st.tuples(st.integers(1, 4), st.integers(1, 7))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_nnls_matches_scipy(data):
+    m, n = data.draw(_dims_and_columns())
+    e = data.draw(arrays(float, (m + 1, n), elements=st.floats(-5, 5, width=16)))
+    f = data.draw(arrays(float, m + 1, elements=st.floats(-5, 5, width=16)))
+    x, _ = nnls(e, f)
+    _, ref_norm = scipy_nnls(e, f)
+    assert np.all(x >= 0.0)
+    assert np.linalg.norm(e @ x - f) == pytest.approx(ref_norm, abs=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_min_norm_residual_matches_scipy_nnls(data):
+    dim, n_obj = data.draw(_dims_and_columns())
+    n_con = data.draw(st.integers(0, 3))
+    gens = data.draw(arrays(float, (n_obj + n_con, dim), elements=st.floats(-5, 5, width=16)))
+    obj = [Polytope(dim, tuple(map(tuple, gens[:n_obj])), True)]
+    con = [Polytope(dim, (tuple(g),), True) for g in gens[n_obj:]]
+    res = min_norm_over_multipliers(obj, con, mu_max=np.inf)
+    # the same least-distance program on scipy's solver
+    e = np.zeros((dim + 1, len(gens)))
+    e[:dim] = gens.T
+    e[dim, :n_obj] = 1.0
+    u, _ = scipy_nnls(e, np.eye(dim + 1)[dim])
+    ref = float(np.linalg.norm(e[:dim] @ u)) / float(np.sum(u[:n_obj]))
+    assert res.residual == pytest.approx(ref, abs=1e-9)
+    assert res.lam.sum() == pytest.approx(1.0, abs=1e-12) and np.all(res.mu >= 0.0)
+    _assert_separation_bound(res, obj, con)
+
+
+def _assert_separation_bound(res, obj, con, tol=1e-8):
+    """residual - gap is a lower bound on the distance that the nearest
+    point y shows by itself: <h, y> >= -tol ||h|| ||y|| on every cone
+    generator h and <g, y> >= (residual - gap) ||y|| on every objective
+    generator g."""
+    y = sum(lk * np.asarray(w) for lk, w in zip(res.lam, res.obj_witnesses))
+    y = y + sum(mj * np.asarray(z) for mj, z in zip(res.mu, res.con_witnesses))
+    ny = float(np.linalg.norm(y))
+    assert ny == pytest.approx(res.residual, abs=1e-9)
+    lower = res.residual - res.gap
+    if lower > 0.0:
+        for h in (g for p in con for g in p.generators):
+            assert np.dot(h, y) >= -tol * np.linalg.norm(h) * ny
+        for g in (g for p in obj for g in p.generators):
+            assert np.dot(g, y) >= lower * ny - 1e-9
+
+
 # ---------------------------------------------------------------------------
 # KKT / BCQ
 # ---------------------------------------------------------------------------
@@ -118,6 +197,48 @@ def test_kkt_inexact_downgrades_fails():
     assert not report.exact
     assert report.residual > 0.1
     assert report.verdict == "inconclusive"
+
+
+MU_CAP = make_problem(1, [("u0", "3*u0+2")], ["-0.0001*u0"], [-1], [1])
+
+
+def test_kkt_needs_no_multiplier_cap():
+    # 0 = 1 + mu * (-1e-4) needs mu = 1e4, ten times the default mu_max
+    report = kkt_check(MU_CAP, [0.0])
+    assert report.holds and report.residual <= 1e-12
+    assert report.mu[0] == pytest.approx(1e4, rel=1e-9)
+    assert not report.mu_capped
+    assert report.tolerances["mu_max"] == 1e3
+
+
+def test_every_kkt_fails_carries_a_separating_witness():
+    rng = np.random.default_rng(31)
+    problems = [
+        make_problem(1, [("u0^2", "3*u0^2")], [], [-1], [1]),
+        make_problem(1, [("abs(u0)", "abs(u0)+1"), ("2*abs(u0)", "2*abs(u0)+2")],
+                     ["-u0", "-u0-1"], [-2], [2]),
+        make_problem(2, [("u0^2+abs(u1)", "2*u0^2+abs(u1)+1"), ("abs(u0-u1)", "abs(u0-u1)+1")],
+                     ["u0+u1-1", "-u0"], [-1, -1], [1, 1]),
+    ]
+    failed = 0
+    for prob in problems:
+        for z in feasible_grid(prob, GridSpec(9)):
+            for radius in (0.0, float(rng.uniform(0, 0.5))):
+                report = kkt_check(prob, z, radius=radius)
+                if report.verdict != "fails":
+                    continue
+                failed += 1
+                assert report.residual - report.gap > report.threshold
+                # the nearest point from the report's own multipliers and
+                # witnesses, the generators from the calculus
+                act = active_set(prob, z)
+                res = SimpleNamespace(lam=report.lam, obj_witnesses=report.obj_witnesses,
+                                      mu=report.mu[list(act)],
+                                      con_witnesses=[report.con_witnesses[j] for j in act],
+                                      residual=report.residual, gap=report.gap)
+                _assert_separation_bound(res, [weak_gen_gradient(f, z) for f in prob.objectives],
+                                         [clarke_subdiff(prob.constraints[j], z) for j in act])
+    assert failed > 10
 
 
 def test_bcq_examples(abs_problem):
@@ -227,6 +348,71 @@ def test_gen_convexity_2d_path():
     rep = gen_convexity_check(prob, [0.0, 0.0],
                               [[0.5, 0.5], [1.0, -1.0], [0.0, 0.25]])
     assert rep.holds
+
+
+def test_gen_convexity_decides_a_thin_feasible_system():
+    # at u = (1.5, -2) the rows a_j.v <= a_j.u of the four linear
+    # constraints leave only v = u in the ball ||v|| <= ||u||; 4000 steps
+    # of projected subgradient stopped short of it and reported fails
+    cons = [(4, -2), (4, 1), (-4, -5), (3, 4)]
+    prob = make_problem(2, [("0", "1")], [f"{a}*u0+{b}*u1" for a, b in cons], [-2, -2], [2, 2])
+    u = np.array([1.5, -2.0])
+    rep = gen_convexity_check(prob, [0.0, 0.0], [u])
+    assert rep.verdict == "holds"
+    for a in cons:
+        assert np.dot(a, u) <= eval_expr(prob.constraints[cons.index(a)], u)
+
+
+def test_every_gen_convexity_fails_carries_a_farkas_witness():
+    concave = make_problem(1, [("-u0^2", "-u0^2+1")], [], [-2], [2])
+    # at u = -0.5 the rows 4v <= -3.75 and 2v <= -3.75 need |v| >= 1.875 > 0.5
+    steep = make_problem(1, [("2*u0-u0^2", "6*u0-3*u0^2+6")], [], [-1], [1])
+    mixed = make_problem(2, [("u0^2-abs(u1)", "u0^2-abs(u1)+1"), ("-u0", "-u0+u1^2+0.1")],
+                         ["u0+u1-1.5"], [-1, -1], [1, 1])
+    for prob, u0, samples in ((concave, [0.0], feasible_grid(concave, GridSpec(9))),
+                              (steep, [0.0], [[-0.5]]),
+                              (mixed, [0.25, 0.0], feasible_grid(mixed, GridSpec(9)))):
+        rep = gen_convexity_check(prob, u0, samples)
+        assert rep.verdict == "fails"
+        assert len(rep.farkas) == len(rep.infeasible_samples) > 0
+        # rows rebuilt with the scalar evaluators, apart from the check
+        rows = [(g, k) for k, f in enumerate(prob.objectives)
+                for g in weak_gen_gradient(f, u0).generators]
+        rows += [(g, prob.n_objectives + j) for j, e in enumerate(prob.constraints)
+                 for g in clarke_subdiff(e, u0).generators]
+        a = np.array([g for g, _ in rows])
+
+        def value(i, u):
+            if i < prob.n_objectives:
+                f = prob.objectives[i]
+                return f.center(u) + f.halfwidth(u)
+            return eval_expr(prob.constraints[i - prob.n_objectives], u)
+
+        for u, y in zip(rep.infeasible_samples, rep.farkas):
+            b = np.array([value(i, u) - value(i, u0) for _, i in rows])
+            r = float(np.linalg.norm(np.subtract(u, u0)))
+            assert np.all(y >= 0.0)
+            assert float(b @ y) + r * float(np.linalg.norm(a.T @ y)) < 0.0
+
+
+def test_a_verdict_needs_its_own_witness(monkeypatch):
+    # solver answers that prove nothing: the first column alone, or zero
+    def first_column(e, f):
+        x = np.zeros(e.shape[1])
+        x[0] = 1.0
+        return x, 1
+
+    monkeypatch.setattr(miopt.certificates, "nnls", first_column)
+    # 0 is in co{-1, 0, 1}, but the nearest point -1 of the answer does
+    # not separate 0 from that hull
+    prob = make_problem(1, [("abs(u0)", "abs(u0)+1")], [], [-1], [1])
+    assert kkt_check(prob, [0.0]).verdict == "inconclusive"
+    monkeypatch.setattr(miopt.certificates, "nnls", lambda e, f: (np.zeros(e.shape[1]), 0))
+    rep = gen_convexity_check(prob, [0.5], [[0.0]])
+    assert rep.verdict == "inconclusive" and rep.stalled_samples == [[0.0]]
+    monkeypatch.undo()
+    assert kkt_check(prob, [0.0]).verdict == "holds"
+    assert gen_convexity_check(prob, [0.5], [[0.0]]).verdict == "fails"
 
 
 # ---------------------------------------------------------------------------

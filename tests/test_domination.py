@@ -376,6 +376,8 @@ def off_grid_invalid_file(tmp_path):
     ["epskkt", "--point=0.3", "--eps=0.1", "--delta=0.5"],
     ["prop21", "--eps0=0.01"],
     ["quasi", "--eps=0.1"],
+    ["genconvex", "--point=0.3"],
+    ["sufficiency", "--point=0.3", "--eps=0.1"],
 ])
 def test_invalid_interval_on_the_scanned_grid_exits_3(off_grid_invalid_file, capsys, argv):
     assert main(argv + ["--problem", off_grid_invalid_file]) in (0, 1, 2)

@@ -65,6 +65,21 @@ def test_loading_a_problem_loads_only_the_load_path(tmp_path):
     assert not loaded & {"miopt.certificates", "miopt.evp", "miopt.game", "miopt.cli"}
 
 
+def test_the_runtime_loads_no_scipy(tmp_path):
+    path = tmp_path / "abs.json"
+    path.write_text(json.dumps(ABS_PROBLEM_JSON))
+    code = ("import sys, miopt.cli, miopt.io\n"
+            "p = miopt.io.load(sys.argv[1])\n"
+            "assert miopt.kkt_check(p, [0.0]).holds\n"
+            "assert miopt.Polytope(2, ((0, 0), (1, 0), (0, 1), (0.25, 0.25)), True)"
+            ".hull_vertices() == ((0, 0), (1, 0), (0, 1))\n"
+            "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []
+
+
 def test_import_cli_loads_every_traced_module():
     assert {f"miopt.{m}" for m in TRACED} <= _loaded_after("import miopt.cli")
 

@@ -239,6 +239,16 @@ def test_cli_tolerance_override(abs_problem_file, tmp_path):
     assert report["config"]["tolerances"]["mu_max"] == 50.0
 
 
+def test_cli_infeasible_point_message_prints_plain_floats(tmp_path, capsys):
+    doc = {"dim": 1, "objectives": [{"lower": "u0", "upper": "u0+1"}],
+           "constraints": ["0.5-u0"], "box": {"lo": [-1], "hi": [1]}}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    for command in ("kkt", "bcq"):
+        assert main([command, "--problem", str(path), "--point", "0"]) == 3
+        assert "error: point [0.0] is infeasible" in capsys.readouterr().err
+
+
 def test_cli_game_verify_holds(quad_game_file, capsys):
     code = main(["game-verify", "--game", quad_game_file, "--point", "0.5,0.5",
                  "--concept", "ne", "--eps", "0.1"])
