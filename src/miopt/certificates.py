@@ -331,12 +331,20 @@ def eps_kkt_thm_4_1(problem: MIOProblem, u_bar, eps, delta: float,
         bcq = bcq_check(problem, z)
         if not bcq.holds:
             raise PremiseError(f"BCQ fails at grid point {z.tolist()} inside the ball")
-    radius = float(np.max(earr)) / delta
+    hit = _first_kkt_point(problem, ball, float(np.max(earr)) / delta)
+    if hit is None:
+        return SearchOutcome("not-found-at-resolution", None, None, len(ball))
+    return SearchOutcome("holds", *hit, len(ball))
+
+
+def _first_kkt_point(problem: MIOProblem, ball, radius: float):
+    """(z, report) for the first point z of ball, in order, whose KKT
+    check holds within radius; None when none does."""
     for z in ball:
         report = kkt_check(problem, z, radius=radius)
         if report.holds:
-            return SearchOutcome("holds", z, report, len(ball))
-    return SearchOutcome("not-found-at-resolution", None, None, len(ball))
+            return z, report
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +375,8 @@ def gen_convexity_check(problem: MIOProblem, u0, samples: Sequence) -> GenConvex
     the LDP min ||v|| s.t. Av <= b + tau_solver/2 meets Av <= b +
     tau_solver and ||v|| <= r + tau_solver (v = 0 where b >= -tau_solver,
     with no solve), and fails when the NNLS solution y is a Farkas
-    witness, y >= 0 with b.y + r ||A^T y|| < 0; otherwise it is stalled.
+    witness, y >= 0 with b.y + r ||A^T y|| < 0, whose rows (y > 0) all
+    come from exact polytopes; otherwise it is stalled.
     Values come from one value table, so an invalid interval at a sample
     or at u0 raises IntervalError."""
     tol = problem.tolerances.tau_solver
@@ -380,6 +389,8 @@ def gen_convexity_check(problem: MIOProblem, u0, samples: Sequence) -> GenConvex
             [clarke_subdiff(g, u0_arr) for g in problem.constraints]
     a = np.array([g for p in polys for g in p.generators], dtype=float)
     owner = np.repeat(np.arange(len(polys)), [len(p.generators) for p in polys])
+    # a superset's extra rows are no constraints of the true system
+    exact_rows = np.array([p.exact for p in polys], dtype=bool)[owner]
 
     # column -1 is u0
     at = np.vstack([pts, u0_arr])
@@ -402,7 +413,8 @@ def gen_convexity_check(problem: MIOProblem, u0, samples: Sequence) -> GenConvex
             v = -aty / den
             if np.linalg.norm(v) <= r + tol and (a @ v <= b + tol).all():
                 continue
-        if (y >= 0.0).all() and float(b @ y) + r * float(np.linalg.norm(aty)) < 0.0:
+        if ((y >= 0.0).all() and exact_rows[y > 0.0].all()
+                and float(b @ y) + r * float(np.linalg.norm(aty)) < 0.0):
             report.infeasible_samples.append(pts[i].tolist())
             report.farkas.append(y)
         else:
@@ -543,7 +555,8 @@ def approx_kkt_sequence(problem: MIOProblem, u_bar, xs: Sequence, eps_seq: Seque
     the first tail point whose center/width gaps to u_bar fall below
     eps_i/2, then find y_i within sqrt(eps_i) of z_i whose multiplier
     residual is at most sqrt(eps_i) (widened by max(inflate) when the
-    inflated-subdifferential mode is on)."""
+    inflated-subdifferential mode is on).  The gaps come from one value
+    table, so an invalid interval at any tail point raises IntervalError."""
     eps_arr = np.asarray(eps_seq, dtype=float)
     if np.any(eps_arr <= 0):
         raise ValueError("eps sequence entries must be > 0")
@@ -560,36 +573,26 @@ def approx_kkt_sequence(problem: MIOProblem, u_bar, xs: Sequence, eps_seq: Seque
     if inflate is not None:
         inflate_radius = float(np.max(as_epsilon(inflate, problem.n_objectives)))
 
-    cw_bar = [(f.center(u_arr), f.halfwidth(u_arr)) for f in problem.objectives]
+    # the tail points' centres and widths, and u_bar's in the last column
+    seq = value_table(problem, xs_arr + [u_arr])
+    gaps = np.maximum(np.abs(seq.centers[:, :-1] - seq.centers[:, -1:]),
+                      np.abs(seq.widths[:, :-1] - seq.widths[:, -1:])).max(axis=0)
     entries = []
     start = 0
     for i, eps_i in enumerate(eps_arr):
-        z_index = None
-        for idx in range(start, len(xs_arr)):
-            x = xs_arr[idx]
-            close = all(abs(f.center(x) - cw_bar[k][0]) < eps_i / 2.0
-                        and abs(f.halfwidth(x) - cw_bar[k][1]) < eps_i / 2.0
-                        for k, f in enumerate(problem.objectives))
-            if close:
-                z_index = idx
-                break
-        if z_index is None:
+        close = np.flatnonzero(gaps[start:] < eps_i / 2.0)
+        if not close.size:
             entries.append(SequenceEntry(i, float(eps_i), None, None, None, None,
                                          False, "no tail point close enough"))
             continue
-        start = z_index
+        start = z_index = start + int(close[0])
         z = xs_arr[z_index]
         root = float(np.sqrt(eps_i))
-        found = None
-        for y in restrict_to_ball(pts, z, root):
-            report = kkt_check(problem, y, radius=root + inflate_radius)
-            if report.holds:
-                found = (y, report.residual)
-                break
-        if found is None:
+        hit = _first_kkt_point(problem, restrict_to_ball(pts, z, root), root + inflate_radius)
+        if hit is None:
             entries.append(SequenceEntry(i, float(eps_i), z_index, z, None, None,
                                          False, "not-found-at-resolution"))
         else:
-            entries.append(SequenceEntry(i, float(eps_i), z_index, z, found[0],
-                                         found[1], True))
+            entries.append(SequenceEntry(i, float(eps_i), z_index, z, hit[0],
+                                         hit[1].residual, True))
     return SequenceReport(entries)

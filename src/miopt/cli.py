@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import re
 import sys
 import time
@@ -494,31 +495,36 @@ def main(argv=None) -> int:
     t0 = time.monotonic()
     try:
         verdict, payload = _HANDLERS[args.command](args)
+        report = {"command": args.command, "verdict": verdict,
+                  "elapsed_seconds": time.monotonic() - t0, **_to_jsonable(payload)}
+        # the report goes first: it must not depend on a reader of stdout
+        if args.json_path:
+            with open(args.json_path, "w", encoding="utf-8") as fh:
+                json.dump(report, fh, indent=2)
+                fh.write("\n")
     except (UsageError, SchemaError, ExprError, GridError, GameError,
             CertificateError, DescentError, OSError,
             ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    elapsed = time.monotonic() - t0
 
-    report = {"command": args.command, "verdict": verdict,
-              "elapsed_seconds": elapsed, **_to_jsonable(payload)}
-    print(f"{args.command}: {verdict}")
+    lines = [f"{args.command}: {verdict}"]
     for key in ("residual", "threshold", "distance", "point", "x_delta", "x_eps"):
         if key in report and report[key] is not None:
-            print(f"  {key}: {report[key]}")
+            lines.append(f"  {key}: {report[key]}")
     if "lambda" in report:
-        print(f"  lambda: {report['lambda']}  mu: {report['mu']}")
+        lines.append(f"  lambda: {report['lambda']}  mu: {report['mu']}")
     if "deviation" in report:
         dev = report["deviation"]
-        print(f"  improving deviation: player {dev['player']} -> {dev['strategy']}")
+        lines.append(f"  improving deviation: player {dev['player']} -> {dev['strategy']}")
     if "config" in report:
-        print(f"  config: {report['config']}")
-
-    if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        lines.append(f"  config: {report['config']}")
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout: the verdict stands, and stdout goes to
+        # devnull so that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return _EXIT.get(verdict, 2)
 
 

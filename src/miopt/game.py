@@ -9,18 +9,18 @@ the product grid is never formed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .certificates import (CertificateReport, PremiseError, SearchOutcome,
-                           eps_kkt_thm_4_1, gen_convexity_check, kkt_check)
-from .expr import (Const, Expr, IVFunction, Var, clarke_subdiff, eval_expr,
-                   substitute, weak_gen_gradient)
+from .expr import Const, Expr, IVFunction, Var, eval_expr, substitute
 from .grid import (GridSpec, IntervalError, _grid_array, default_points_per_dim,
                    dominators_of, endpoint_values, feasible_grid, feasible_rows,
                    objective_table, point_dominated, value_table)
-from .problem import DEFAULT_TOLERANCES, MIOProblem, Tolerances, as_epsilon
+from .problem import DEFAULT_TOLERANCES, MIOProblem, PremiseError, Tolerances, as_epsilon
+
+if TYPE_CHECKING:
+    from .certificates import CertificateReport, SearchOutcome
 
 
 class GameError(ValueError):
@@ -220,14 +220,16 @@ def find_deviation(game: Game, i: int, u_bar, eps, quasi: bool = False):
 
 
 def is_w_eps_ne_direct(game: Game, u_bar, eps) -> bool:
-    u_arr = _checked_profile(game, u_bar)
-    return all(find_deviation(game, i, u_arr, eps, quasi=False) is None
-               for i in range(game.n_players))
+    return _no_deviation(game, u_bar, eps, quasi=False)
 
 
 def is_w_eps_qne_direct(game: Game, u_bar, eps) -> bool:
+    return _no_deviation(game, u_bar, eps, quasi=True)
+
+
+def _no_deviation(game: Game, u_bar, eps, quasi: bool) -> bool:
     u_arr = _checked_profile(game, u_bar)
-    return all(find_deviation(game, i, u_arr, eps, quasi=True) is None
+    return all(find_deviation(game, i, u_arr, eps, quasi) is None
                for i in range(game.n_players))
 
 
@@ -251,6 +253,9 @@ def game_kkt(game: Game, u_bar, eps, mode: str = "thm_5_2",
     mode "thm_5_1": each player must be at a weak eps equilibrium; runs
     the ball-grid search with radius (1/delta)*max(eps).
     """
+    # imported here: loading a game file needs no certificate code
+    from .certificates import eps_kkt_thm_4_1, kkt_check
+
     u_arr = _checked_profile(game, u_bar)
     if mode not in ("thm_5_1", "thm_5_2"):
         raise GameError(f"unknown mode {mode!r}")
@@ -286,44 +291,29 @@ class GameSufficiencyReport:
 
 
 def game_sufficiency(game: Game, u_bar, eps) -> GameSufficiencyReport:
-    """Per-player multiplier condition plus generalized convexity; when
-    every player passes, the profile must verify as a weak eps-quasi
-    equilibrium (a grid counterexample raises: it would be a bug)."""
+    """Thm 4.3 per player: ``sufficiency_thm_4_3`` on each player's MIOP
+    with the opponents fixed at u_bar, over that player's grid.  A player
+    holds only after its grid check, the one ``is_w_eps_qne`` makes for
+    it (a counterexample there raises), so when every player holds the
+    profile is a weak eps-quasi equilibrium.  The verdict is ``inconclusive`` if some player's is,
+    else ``hypothesis-failed`` if some player's is, else ``holds``."""
+    from .certificates import sufficiency_thm_4_3
+
     u_arr = _checked_profile(game, u_bar)
-    report = GameSufficiencyReport(verdict="holds")
+    per_player, verdicts = [], set()
     for i in range(game.n_players):
         earr = as_epsilon(eps, len(game.players[i].objectives))
-        if not np.any(earr > 0):
-            raise ValueError("eps must be nonzero")
-        prob = fix_opponents(game, i, u_arr)
-        ui = game.block(i, u_arr)
-        obj_polys = [weak_gen_gradient(f, ui) for f in prob.objectives]
-        con_polys = [clarke_subdiff(g, ui) for g in prob.constraints]
-        if not all(p.exact for p in obj_polys + con_polys):
-            report.per_player.append((i, "inexact"))
-            report.verdict = "inconclusive"
-            continue
-        kkt = kkt_check(prob, ui, cor41_eps=earr)
-        if not kkt.holds:
-            report.per_player.append((i, f"kkt-{kkt.verdict}"))
-            if report.verdict == "holds":
-                report.verdict = "hypothesis-failed"
-            continue
-        pts = feasible_grid(prob, player_spec(game, i))
-        gc = gen_convexity_check(prob, ui, pts)
-        if not gc.holds:
-            report.per_player.append((i, f"genconvex-{gc.verdict}"))
-            if gc.verdict == "inconclusive":
-                report.verdict = "inconclusive"
-            elif report.verdict == "holds":
-                report.verdict = "hypothesis-failed"
-            continue
-        report.per_player.append((i, "ok"))
-    if report.verdict != "holds":
-        return report
-    qne = is_w_eps_qne(game, u_arr, eps)
-    if not qne:
-        raise RuntimeError("per-player sufficiency hypotheses hold but the "
-                           "grid refutes the equilibrium: implementation bug")
-    report.qne_confirmed = True
-    return report
+        rep = sufficiency_thm_4_3(fix_opponents(game, i, u_arr), game.block(i, u_arr), earr,
+                                  player_spec(game, i))
+        if rep.kkt is None:
+            label = "inexact"
+        elif not rep.kkt.holds:
+            label = f"kkt-{rep.kkt.verdict}"
+        elif not rep.gen_convex.holds:
+            label = f"genconvex-{rep.gen_convex.verdict}"
+        else:
+            label = "ok"
+        per_player.append((i, label))
+        verdicts.add(rep.verdict)
+    verdict = next((v for v in ("inconclusive", "hypothesis-failed") if v in verdicts), "holds")
+    return GameSufficiencyReport(verdict, per_player, True if verdict == "holds" else None)

@@ -395,6 +395,21 @@ def test_every_gen_convexity_fails_carries_a_farkas_witness():
             assert float(b @ y) + r * float(np.linalg.norm(a.T @ y)) < 0.0
 
 
+def test_gen_convexity_refutes_nothing_with_a_superset():
+    # the objective equals -0.5*u0, but its generators at 0 are the
+    # superset {-0.5, 1.5, -2.5, 0} of the exact {-0.5, 0}: rows of a
+    # superset refute nothing, while the exact rows give the same
+    # refutation a witness
+    f = "-0.5*u0 + abs(u0) - 0.5*abs(2*u0)"
+    prob = make_problem(1, [(f, f)], [], [-1], [1])
+    assert not weak_gen_gradient(prob.objectives[0], [0.0]).exact
+    rep = gen_convexity_check(prob, [0.0], feasible_grid(prob, GridSpec(5)))
+    assert rep.verdict == "inconclusive"
+    assert rep.infeasible_samples == [] and [1.0] in rep.stalled_samples
+    linear = make_problem(1, [("-0.5*u0", "-0.5*u0")], [], [-1], [1])
+    assert gen_convexity_check(linear, [0.0], feasible_grid(linear, GridSpec(5))).verdict == "fails"
+
+
 def test_a_verdict_needs_its_own_witness(monkeypatch):
     # solver answers that prove nothing: the first column alone, or zero
     def first_column(e, f):
@@ -549,6 +564,25 @@ def test_sequence_inflation_widens_acceptance(abs_problem):
     for b, f in zip(base.entries, inflated.entries):
         if b.ok:
             assert f.ok
+
+
+def test_sequence_picks_the_tail_points_of_the_scalar_evaluators(abs_problem):
+    # z_i is the first tail point from z_(i-1) on whose centre and width
+    # gaps to u_bar are all below eps_i / 2, as the scalar evaluators give them
+    rng = np.random.default_rng(5)
+    fs = abs_problem.objectives
+    for _ in range(5):
+        xs = [[float(x)] for x in rng.uniform(-0.2, 1.0, size=12)]
+        eps_seq = sorted(rng.uniform(0.01, 1.0, size=4), reverse=True)
+        rep = approx_kkt_sequence(abs_problem, [0.0], xs, eps_seq, GridSpec(41))
+        start = 0
+        for e, eps_i in zip(rep.entries, eps_seq):
+            close = [idx for idx in range(start, len(xs))
+                     if all(abs(f.center(xs[idx]) - f.center([0.0])) < eps_i / 2
+                            and abs(f.halfwidth(xs[idx]) - f.halfwidth([0.0])) < eps_i / 2
+                            for f in fs)]
+            assert e.z_index == (close[0] if close else None)
+            start = close[0] if close else start
 
 
 def test_sequence_premise_enforced(quad_problem):

@@ -386,6 +386,17 @@ def test_invalid_interval_on_the_scanned_grid_exits_3(off_grid_invalid_file, cap
     assert "IVF invalid at [0.30099999999999993]" in capsys.readouterr().err
 
 
+def test_invalid_interval_at_a_sequence_tail_point_exits_3(off_grid_invalid_file, capsys):
+    # z_1 is the first tail point, 0.45: the invalid 0.301 is never picked,
+    # but every tail point is evaluated
+    argv = ["seqkkt", "--problem", off_grid_invalid_file, "--grid=5", "--point=0.5",
+            "--eps-seq=0.25"]
+    assert main(argv + ["--xs=0.45"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--xs=0.45;0.301"]) == 3
+    assert "IVF invalid at [0.301]" in capsys.readouterr().err
+
+
 def test_invalid_interval_at_the_queried_point_exits_3(off_grid_invalid_file, capsys):
     assert main(["verify", "--problem", off_grid_invalid_file, "--point=0.301",
                  "--concept=weak-min"]) == 3

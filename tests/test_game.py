@@ -210,6 +210,98 @@ def test_game_sufficiency_hypothesis_failed(quad_game):
     assert rep.verdict == "hypothesis-failed"
 
 
+def _count_calls(monkeypatch, name: str) -> list:
+    """Count the calls of the miopt function name, replaced in every
+    miopt module namespace that holds it."""
+    import importlib
+    import sys
+
+    for mod in ("expr", "grid", "certificates", "game"):
+        importlib.import_module(f"miopt.{mod}")
+    modules = [mod for mod_name, mod in sys.modules.items() if mod_name.startswith("miopt.")]
+    orig = next(getattr(mod, name) for mod in modules if hasattr(mod, name))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for mod in modules:
+        if getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_game_sufficiency_builds_each_player_problem_and_grid_once(monkeypatch, quad_game):
+    counts = {name: _count_calls(monkeypatch, name)
+              for name in ("fix_opponents", "weak_gen_gradient", "feasible_grid")}
+    assert game_sufficiency(quad_game, [0.5, 0.5], 0.1).verdict == "holds"
+    # per player: one problem, one grid, and one objective polytope each
+    # for the KKT check and the convexity check
+    assert {name: len(calls) for name, calls in counts.items()} == \
+        {"fix_opponents": 2, "weak_gen_gradient": 4, "feasible_grid": 2}
+
+
+@pytest.fixture
+def superset_game():
+    """Player 0's second constraint is -1 everywhere, so never active, and
+    its subdifferential at u0 = 0 is a superset; player 1's objective is
+    -0.5*u1, with a superset at u1 = 0."""
+    f = "-0.5*u1 + abs(u1) - 0.5*abs(2*u1)"
+    p0 = make_player(2, [("u0", "u0+1")], ["-u0", "abs(u0) - 0.5*abs(2*u0) - 1"],
+                     [0.0], [1.0], ppd=11)
+    p1 = make_player(2, [(f, f)], [], [-1.0], [1.0], ppd=11)
+    return Game(players=(p0, p1))
+
+
+def _label(rep) -> str:
+    if rep.kkt is None:
+        return "inexact"
+    if not rep.kkt.holds:
+        return f"kkt-{rep.kkt.verdict}"
+    if not rep.gen_convex.holds:
+        return f"genconvex-{rep.gen_convex.verdict}"
+    return "ok"
+
+
+def test_game_sufficiency_is_thm_4_3_per_player(quad_game, abs_game, constrained_game,
+                                                superset_game):
+    from miopt.certificates import sufficiency_thm_4_3
+    from miopt.game import player_spec
+
+    rng = np.random.default_rng(3)
+    cases = [(quad_game, [0.5, 0.5], 0.1), (quad_game, [0.0, 1.0], 0.001),
+             (abs_game, [0.5, 0.25], 0.1), (abs_game, [0.5, 0.0], 0.1),
+             (superset_game, [0.0, 0.0], 0.1), (superset_game, [0.5, 0.0], 0.1)]
+    cases += [(constrained_game, list(rng.uniform(0, 0.5, size=3)), eps)
+              for eps in (0.05, 0.5, 5.0)]
+    seen = set()
+    for game, profile, eps in cases:
+        rep = game_sufficiency(game, profile, eps)
+        players = [sufficiency_thm_4_3(fix_opponents(game, i, profile), game.block(i, profile),
+                                       np.full(len(game.players[i].objectives), eps),
+                                       player_spec(game, i))
+                   for i in range(game.n_players)]
+        assert rep.per_player == [(i, _label(p)) for i, p in enumerate(players)]
+        verdicts = {p.verdict for p in players}
+        want = ("inconclusive" if "inconclusive" in verdicts else
+                "hypothesis-failed" if "hypothesis-failed" in verdicts else "holds")
+        assert rep.verdict == want
+        assert rep.qne_confirmed is (True if want == "holds" else None)
+        if want == "holds":
+            assert is_w_eps_qne(game, profile, eps)
+        seen.update(label for _, label in rep.per_player)
+    assert seen == {"ok", "inexact", "kkt-fails", "genconvex-fails", "genconvex-inconclusive"}
+
+
+def test_game_sufficiency_needs_no_exact_inactive_constraint(superset_game):
+    # player 0's inactive superset no longer stops it before the KKT
+    # stage; its rows then refute nothing in the convexity check
+    rep = game_sufficiency(superset_game, [0.0, 0.0], 0.1)
+    assert rep.per_player == [(0, "genconvex-inconclusive"), (1, "inexact")]
+    assert rep.verdict == "inconclusive"
+
+
 # ---------------------------------------------------------------------------
 # Interval validity on each player's grid
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """What importing the package loads: ``import miopt`` loads no module,
-loading a problem file loads only the modules that loading runs, and the
-lazily resolved names are the objects the package has always exported."""
+loading a problem or game file loads only the modules that loading runs,
+and the lazily resolved names are the objects the package has always
+exported."""
 
 import json
 import os
@@ -10,7 +11,7 @@ import sys
 import pytest
 
 import miopt
-from .conftest import ABS_PROBLEM_JSON
+from .conftest import ABS_PROBLEM_JSON, QUAD_GAME_JSON
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(miopt.__file__)))
 
@@ -63,6 +64,14 @@ def test_loading_a_problem_loads_only_the_load_path(tmp_path):
     loaded = _loaded_after("import sys, miopt.io\nmiopt.io.load(sys.argv[1])", str(path))
     assert {"miopt.io", "miopt.grid", "miopt.problem", "miopt.expr"} <= loaded
     assert not loaded & {"miopt.certificates", "miopt.evp", "miopt.game", "miopt.cli"}
+
+
+def test_loading_a_game_loads_no_certificate_code(tmp_path):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(QUAD_GAME_JSON))
+    loaded = _loaded_after("import sys, miopt.io\nmiopt.io.load(sys.argv[1])", str(path))
+    assert {"miopt.io", "miopt.grid", "miopt.problem", "miopt.expr", "miopt.game"} <= loaded
+    assert not loaded & {"miopt.certificates", "miopt.evp", "miopt.cli"}
 
 
 def test_the_runtime_loads_no_scipy(tmp_path):

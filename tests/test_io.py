@@ -1,8 +1,12 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import miopt
 from miopt import Game, MIOProblem, eval_expr
 from miopt.cli import main
 from miopt.io import (SchemaError, game_from_dict, load, problem_from_dict,
@@ -176,6 +180,28 @@ def test_cli_kkt_holds_at_minimum(abs_problem_file, tmp_path, capsys):
 def test_cli_kkt_fails_off_minimum(quad_problem_file, capsys):
     code = main(["kkt", "--problem", quad_problem_file, "--point", "0.5"])
     assert code == 1
+
+
+@pytest.mark.parametrize("model, point, verdict, code", [
+    ("abs_problem_file", "0", "holds", 0), ("quad_problem_file", "0.5", "fails", 1)])
+def test_cli_closed_stdout_keeps_the_exit_code_and_the_report(request, tmp_path, model,
+                                                              point, verdict, code):
+    # the reader of stdout has left before the verdict is printed
+    report_path = tmp_path / "report.json"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(miopt.__file__)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "miopt.cli", "kkt", "--problem",
+                               request.getfixturevalue(model), "--point", point,
+                               "--json", str(report_path)],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code
+    assert proc.stderr == ""
+    assert json.loads(report_path.read_text())["verdict"] == verdict
 
 
 def test_cli_bcq(abs_problem_file, capsys):
