@@ -250,7 +250,7 @@ def kkt_check(problem: MIOProblem, u_bar, radius: float = 0.0,
     residual above the threshold is ``inconclusive``.
     """
     tol = problem.tolerances.tau_solver
-    if radius < 0:
+    if not radius >= 0:
         raise CertificateError("radius must be >= 0")
     if not feasible(problem, u_bar):
         raise CertificateError(f"point {np.asarray(u_bar, dtype=float).tolist()} is infeasible")
@@ -321,7 +321,7 @@ def eps_kkt_thm_4_1(problem: MIOProblem, u_bar, eps, delta: float,
     earr = as_epsilon(eps, problem.n_objectives)
     if not np.any(earr > 0):
         raise ValueError("eps must be nonzero")
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be > 0")
     pts = feasible_grid(problem, spec)
     if point_dominated(problem, value_table(problem, pts), u_bar, earr):
@@ -383,7 +383,7 @@ def gen_convexity_check(problem: MIOProblem, u0, samples: Sequence) -> GenConvex
     if not feasible(problem, u0):
         raise CertificateError("u0 must be feasible")
     u0_arr = np.asarray(u0, dtype=float)
-    pts = np.array(samples, dtype=float).reshape(len(samples), problem.dim)
+    pts = np.asarray(samples, dtype=float).reshape(len(samples), problem.dim)
 
     polys = [weak_gen_gradient(f, u0_arr) for f in problem.objectives] + \
             [clarke_subdiff(g, u0_arr) for g in problem.constraints]
@@ -484,7 +484,7 @@ def modified_eps_kkt(problem: MIOProblem, x0, epsilon: float, spec: GridSpec) ->
     combination has norm <= sqrt(eps) while the same mu keeps
     sum(mu_j * g_j(x0)) >= -eps.  With eps = 0 this is exactly the KKT
     check at x0."""
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
     tol = problem.tolerances.tau_solver
     if not feasible(problem, x0):
@@ -558,7 +558,7 @@ def approx_kkt_sequence(problem: MIOProblem, u_bar, xs: Sequence, eps_seq: Seque
     inflated-subdifferential mode is on).  The gaps come from one value
     table, so an invalid interval at any tail point raises IntervalError."""
     eps_arr = np.asarray(eps_seq, dtype=float)
-    if np.any(eps_arr <= 0):
+    if not np.all(eps_arr > 0):
         raise ValueError("eps sequence entries must be > 0")
     xs_arr = [np.asarray(x, dtype=float) for x in xs]
     u_arr = np.asarray(u_bar, dtype=float)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import re
 import sys
@@ -49,39 +50,41 @@ def _to_jsonable(obj):
     return obj
 
 
-def _parse_point(text: str, dim: int, what: str = "point") -> np.ndarray:
+def _parse_vector(text: str, what: str = "eps") -> np.ndarray:
+    """Comma-separated finite numbers: every vector option is read here."""
     try:
-        vals = [float(x) for x in text.split(",")]
+        vals = np.array([float(x) for x in text.split(",")])
     except ValueError:
         raise UsageError(f"--{what}: expected comma-separated numbers, got {text!r}")
+    if not np.isfinite(vals).all():
+        raise UsageError(f"--{what}: expected finite numbers, got {text!r}")
+    return vals
+
+
+def _parse_point(text: str, dim: int, what: str = "point") -> np.ndarray:
+    vals = _parse_vector(text, what)
     if len(vals) != dim:
         raise UsageError(f"--{what}: expected {dim} coordinates, got {len(vals)}")
-    return np.array(vals)
+    return vals
 
 
-def _parse_eps(text: str) -> np.ndarray:
-    try:
-        return np.array([float(x) for x in text.split(",")])
-    except ValueError:
-        raise UsageError(f"--eps: expected comma-separated numbers, got {text!r}")
+def _check_finite(args) -> None:
+    """Every float option (--radius, --delta, --eps0, the tolerances)."""
+    for name, val in vars(args).items():
+        if isinstance(val, float) and not math.isfinite(val):
+            raise UsageError(f"--{name.replace('_', '-')}: expected a finite number, got {val}")
 
 
 def _load_problem(args) -> tuple[MIOProblem, GridSpec]:
     model = io_mod.load(args.problem)
     if isinstance(model, Game):
         raise UsageError(f"{args.problem} is a game file; this command needs a problem")
-    tol = model.tolerances
-    overrides = {}
-    for flag, name in (("tau_feas", "tau_feas"), ("tau_act", "tau_act"),
-                       ("tau_solver", "tau_solver"), ("mu_max", "mu_max")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            overrides[name] = val
+    overrides = {k: getattr(args, k) for k in ("tau_feas", "tau_act", "tau_solver", "mu_max")
+                 if getattr(args, k) is not None}
     if overrides:
-        tol = dataclasses.replace(tol, **overrides)
-        model = dataclasses.replace(model, tolerances=tol)
-    ppd = args.grid or model.metadata.get("points_per_dim") \
-        or grid_mod.default_points_per_dim(model.dim)
+        model = dataclasses.replace(
+            model, tolerances=dataclasses.replace(model.tolerances, **overrides))
+    ppd = args.grid if args.grid is not None else model.metadata["points_per_dim"]
     return model, GridSpec(ppd)
 
 
@@ -126,7 +129,7 @@ def _cmd_verify(args):
     if takes_eps:
         if args.eps is None:
             raise UsageError(f"--eps is required for concept {args.concept}")
-        eps = as_epsilon(_parse_eps(args.eps), problem.n_objectives)
+        eps = as_epsilon(_parse_vector(args.eps), problem.n_objectives)
     table = grid_mod.value_table(problem, pts)
     verdict = "fails" if grid_mod.point_dominated(problem, table, point, eps, quasi) else "holds"
     return verdict, {"concept": args.concept, "point": point,
@@ -135,9 +138,9 @@ def _cmd_verify(args):
 
 def _cmd_exist(args):
     problem, spec = _load_problem(args)
-    earr = as_epsilon(_parse_eps(args.eps), problem.n_objectives)
+    earr = as_epsilon(_parse_vector(args.eps), problem.n_objectives)
     pts = grid_mod.feasible_grid(problem, spec)
-    if not pts:
+    if len(pts) == 0:
         raise UsageError("feasible grid is empty")
     start = _parse_point(args.start, problem.dim, "start") if args.start else pts[0]
     point, trace = evp.descent_eps_minimal(problem, earr, spec, start)
@@ -149,16 +152,16 @@ def _cmd_exist(args):
 def _cmd_evp(args):
     problem, spec = _load_problem(args)
     pts = grid_mod.feasible_grid(problem, spec)
-    if not pts:
+    if len(pts) == 0:
         raise UsageError("feasible grid is empty")
     x0 = _parse_point(args.x0, problem.dim, "x0") if args.x0 else pts[0]
     if args.vector:
-        earr = _parse_eps(args.eps)
+        earr = _parse_vector(args.eps)
         if earr.size != 1:
             raise UsageError("--vector mode takes a single scalar --eps")
         point, cert = evp.evp_descent_vector(problem, float(earr[0]), spec, x0)
     else:
-        earr = as_epsilon(_parse_eps(args.eps), problem.n_objectives)
+        earr = as_epsilon(_parse_vector(args.eps), problem.n_objectives)
         point, cert = evp.evp_descent(problem, earr, spec, x0)
     verdict = "holds" if cert.all_hold else "fails"
     return verdict, {"point": point, "x0": x0,
@@ -169,7 +172,7 @@ def _cmd_evp(args):
 
 def _cmd_quasi(args):
     problem, spec = _load_problem(args)
-    earr = as_epsilon(_parse_eps(args.eps), problem.n_objectives)
+    earr = as_epsilon(_parse_vector(args.eps), problem.n_objectives)
     rep = evp.quasi_existence(problem, earr, spec)
     ok = rep.qm_verified and rep.ball_check is not False
     verdict = "holds" if ok else "fails"
@@ -185,7 +188,7 @@ def _cmd_quasi(args):
 def _cmd_thm33(args):
     problem, spec = _load_problem(args)
     point = _parse_point(args.point, problem.dim)
-    earr = as_epsilon(_parse_eps(args.eps), problem.n_objectives)
+    earr = as_epsilon(_parse_vector(args.eps), problem.n_objectives)
     verdict_obj = grid_mod.check_thm_3_3(problem, point, earr, spec)
     if not verdict_obj.hypothesis_holds:
         return "fails", {"hypothesis_holds": False, "witness": verdict_obj.witness,
@@ -201,7 +204,7 @@ def _cmd_kkt(args):
     point = _parse_point(args.point, problem.dim)
     cor41 = None
     if args.cor41_eps is not None:
-        cor41 = as_epsilon(_parse_eps(args.cor41_eps), problem.n_objectives)
+        cor41 = as_epsilon(_parse_vector(args.cor41_eps, "cor41-eps"), problem.n_objectives)
     report = certificates.kkt_check(problem, point, radius=args.radius,
                                     cor41_eps=cor41)
     return report.verdict, {**_report_line(report), "point": point,
@@ -211,7 +214,7 @@ def _cmd_kkt(args):
 def _cmd_epskkt(args):
     problem, spec = _load_problem(args)
     point = _parse_point(args.point, problem.dim)
-    earr = as_epsilon(_parse_eps(args.eps), problem.n_objectives)
+    earr = as_epsilon(_parse_vector(args.eps), problem.n_objectives)
     outcome = certificates.eps_kkt_thm_4_1(problem, point, earr, args.delta, spec)
     payload = {"verdict": outcome.verdict, "points_scanned": outcome.points_scanned,
                "config": _config(problem, spec)}
@@ -244,7 +247,7 @@ def _cmd_genconvex(args):
 def _cmd_sufficiency(args):
     problem, spec = _load_problem(args)
     point = _parse_point(args.point, problem.dim)
-    earr = as_epsilon(_parse_eps(args.eps), problem.n_objectives)
+    earr = as_epsilon(_parse_vector(args.eps), problem.n_objectives)
     rep = certificates.sufficiency_thm_4_3(problem, point, earr, spec)
     payload = {"verdict": rep.verdict, "qm_confirmed": rep.qm_confirmed,
                "config": _config(problem, spec)}
@@ -256,7 +259,7 @@ def _cmd_sufficiency(args):
 def _cmd_modkkt(args):
     problem, spec = _load_problem(args)
     point = _parse_point(args.point, problem.dim)
-    earr = _parse_eps(args.eps)
+    earr = _parse_vector(args.eps)
     if earr.size != 1:
         raise UsageError("modkkt takes a single scalar --eps")
     outcome = certificates.modified_eps_kkt(problem, point, float(earr[0]), spec)
@@ -277,10 +280,10 @@ def _cmd_seqkkt(args):
           for chunk in args.xs.split(";") if chunk.strip()]
     if not xs:
         raise UsageError("--xs must list at least one point")
-    eps_seq = [float(x) for x in args.eps_seq.split(",")]
+    eps_seq = _parse_vector(args.eps_seq, "eps-seq")
     inflate = None
     if args.inflate is not None:
-        inflate = as_epsilon(_parse_eps(args.inflate), problem.n_objectives)
+        inflate = as_epsilon(_parse_vector(args.inflate, "inflate"), problem.n_objectives)
     rep = certificates.approx_kkt_sequence(problem, point, xs, eps_seq, spec,
                                            inflate=inflate)
     if rep.all_ok:
@@ -307,7 +310,7 @@ def _cmd_prop21(args):
 def _cmd_game_verify(args):
     game = _load_game(args)
     point = _parse_point(args.point, game.profile_dim)
-    eps = _parse_eps(args.eps)
+    eps = _parse_vector(args.eps)
     quasi = args.concept == "qne"
     check = game_mod.is_w_eps_qne if quasi else game_mod.is_w_eps_ne
     ok = check(game, point, eps)
@@ -324,7 +327,7 @@ def _cmd_game_verify(args):
 def _cmd_game_kkt(args):
     game = _load_game(args)
     point = _parse_point(args.point, game.profile_dim)
-    eps = _parse_eps(args.eps)
+    eps = _parse_vector(args.eps)
     outcomes = game_mod.game_kkt(game, point, eps, mode=args.mode, delta=args.delta)
     per_player = []
     verdicts = []
@@ -351,7 +354,7 @@ def _cmd_game_kkt(args):
 def _cmd_game_sufficiency(args):
     game = _load_game(args)
     point = _parse_point(args.point, game.profile_dim)
-    eps = _parse_eps(args.eps)
+    eps = _parse_vector(args.eps)
     rep = game_mod.game_sufficiency(game, point, eps)
     return rep.verdict, {"per_player": rep.per_player,
                          "qne_confirmed": rep.qne_confirmed}
@@ -494,6 +497,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     t0 = time.monotonic()
     try:
+        _check_finite(args)
         verdict, payload = _HANDLERS[args.command](args)
         report = {"command": args.command, "verdict": verdict,
                   "elapsed_seconds": time.monotonic() - t0, **_to_jsonable(payload)}

@@ -56,7 +56,7 @@ def _grid_index(table: ValueTable, u: Sequence[float]) -> int:
 
 def _prepare(problem: MIOProblem, spec: GridSpec) -> ValueTable:
     pts = feasible_grid(problem, spec)
-    if not pts:
+    if len(pts) == 0:
         raise DescentError("feasible grid is empty")
     return value_table(problem, pts)
 
@@ -182,7 +182,7 @@ def evp_descent_vector(problem: MIOProblem, epsilon: float, spec: GridSpec,
     Returns u_bar with (a) grid eps-minimality, (b) ||x0 - u_bar|| <=
     sqrt(epsilon), (c) grid sqrt(epsilon)-quasi-minimality.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be > 0")
     root = float(np.sqrt(epsilon))
     table = _prepare(problem, spec)

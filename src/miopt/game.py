@@ -14,8 +14,8 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .expr import Const, Expr, IVFunction, Var, eval_expr, substitute
-from .grid import (GridSpec, IntervalError, _grid_array, default_points_per_dim,
-                   dominators_of, endpoint_values, feasible_grid, feasible_rows,
+from .grid import (GridSpec, IntervalError, default_points_per_dim, dominators_of,
+                   endpoint_values, feasible_grid, feasible_rows, grid_points,
                    objective_table, point_dominated, value_table)
 from .problem import DEFAULT_TOLERANCES, MIOProblem, PremiseError, Tolerances, as_epsilon
 
@@ -164,7 +164,7 @@ def _deviations(game: Game, i: int, u_arr: np.ndarray) -> tuple[np.ndarray, np.n
     """(own, profiles): player i's grid, and u_arr with player i's block
     replaced by each of its rows."""
     pl = game.players[i]
-    own = _grid_array(pl.box_lo, pl.box_hi, player_spec(game, i))
+    own = grid_points(pl.box_lo, pl.box_hi, player_spec(game, i))
     profiles = np.repeat(u_arr[None, :], len(own), axis=0)
     start = game.block_start(i)
     profiles[:, start:start + pl.dim] = own
@@ -259,7 +259,7 @@ def game_kkt(game: Game, u_bar, eps, mode: str = "thm_5_2",
     u_arr = _checked_profile(game, u_bar)
     if mode not in ("thm_5_1", "thm_5_2"):
         raise GameError(f"unknown mode {mode!r}")
-    if mode == "thm_5_1" and (delta is None or delta <= 0):
+    if mode == "thm_5_1" and (delta is None or not delta > 0):
         raise GameError("mode thm_5_1 needs delta > 0")
 
     outcomes = []

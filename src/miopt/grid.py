@@ -73,7 +73,7 @@ def spec_for(problem: MIOProblem, points_per_dim: int | None = None) -> GridSpec
     return GridSpec(points_per_dim or default_points_per_dim(problem.dim))
 
 
-def _grid_array(box_lo: Sequence[float], box_hi: Sequence[float], spec: GridSpec) -> np.ndarray:
+def grid_points(box_lo: Sequence[float], box_hi: Sequence[float], spec: GridSpec) -> np.ndarray:
     """The (N, n) uniform inclusive grid over the box, in deterministic
     lexicographic order (the last axis varies fastest)."""
     n = len(box_lo)
@@ -82,17 +82,10 @@ def _grid_array(box_lo: Sequence[float], box_hi: Sequence[float], spec: GridSpec
     total = spec.points_per_dim ** n
     if total > spec.cap:
         raise GridError(f"grid of {total} points exceeds cap {spec.cap}")
-    axes = []
-    for lo, hi in zip(box_lo, box_hi):
-        t = np.arange(spec.points_per_dim, dtype=float)
-        axes.append(lo + t * (hi - lo) / (spec.points_per_dim - 1))
+    t = np.arange(spec.points_per_dim, dtype=float)
+    axes = [lo + t * (hi - lo) / (spec.points_per_dim - 1) for lo, hi in zip(box_lo, box_hi)]
     # "ij" indexing raveled in C order varies the last axis fastest
     return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-
-
-def grid_points(box_lo: Sequence[float], box_hi: Sequence[float], spec: GridSpec) -> list[np.ndarray]:
-    """Uniform inclusive grid, deterministic lexicographic order."""
-    return list(_grid_array(box_lo, box_hi, spec))
 
 
 def feasible_rows(constraints: Sequence[Expr], pts: np.ndarray, tau: float) -> np.ndarray:
@@ -105,10 +98,10 @@ def feasible_rows(constraints: Sequence[Expr], pts: np.ndarray, tau: float) -> n
     return rows
 
 
-def feasible_grid(problem: MIOProblem, spec: GridSpec) -> list[np.ndarray]:
-    """All grid points satisfying the constraints (may be empty)."""
-    pts = _grid_array(problem.box_lo, problem.box_hi, spec)
-    return list(pts[feasible_rows(problem.constraints, pts, problem.tolerances.tau_feas)])
+def feasible_grid(problem: MIOProblem, spec: GridSpec) -> np.ndarray:
+    """The (N, n) array of grid points satisfying the constraints (N may be 0)."""
+    pts = grid_points(problem.box_lo, problem.box_hi, spec)
+    return pts[feasible_rows(problem.constraints, pts, problem.tolerances.tau_feas)]
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +205,10 @@ def objective_table(objectives: Sequence[IVFunction], points: np.ndarray,
     return ValueTable(points, (lower + upper) / 2.0, (upper - lower) / 2.0)
 
 
-def value_table(problem: MIOProblem, pts: Sequence[np.ndarray]) -> ValueTable:
+def value_table(problem: MIOProblem, pts) -> ValueTable:
+    """The table at pts, an (N, n) array or a list of points such as [u]."""
     return objective_table(problem.objectives,
-                           np.array(pts, dtype=float).reshape(len(pts), problem.dim))
+                           np.asarray(pts, dtype=float).reshape(len(pts), problem.dim))
 
 
 # elements per temporary array of the blocked all-pairs comparisons
@@ -343,11 +337,11 @@ def check_prop_2_1(problem: MIOProblem, eps0: float, spec: GridSpec) -> Prop21Re
 
     A violation would signal an implementation bug, not a math failure.
     """
-    if eps0 <= 0:
+    if not eps0 > 0:
         raise ValueError("eps0 must be > 0")
     pts = feasible_grid(problem, spec)
     report = Prop21Report(eps0=eps0, checked=0)
-    if not pts:
+    if len(pts) == 0:
         return report
     table = value_table(problem, pts)
     root = float(np.sqrt(eps0))

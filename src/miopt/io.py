@@ -10,10 +10,11 @@ bit-exact.
 from __future__ import annotations
 
 import json
+import math
 from typing import TYPE_CHECKING, Any
 
 from .expr import ExprError, IVFunction, parse_expr, to_string
-from .grid import GridSpec, IntervalError, _grid_array, default_points_per_dim, endpoint_values
+from .grid import GridSpec, IntervalError, default_points_per_dim, endpoint_values, grid_points
 from .problem import DEFAULT_TOLERANCES, MIOProblem, Tolerances
 
 if TYPE_CHECKING:
@@ -51,11 +52,19 @@ def _int_field(value: Any, path: str) -> int:
     return value
 
 
+def _float(value: Any, path: str) -> float:
+    """A finite number: json reads NaN and Infinity too."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise SchemaError(f"{path}: expected a number")
+    if not math.isfinite(float(value)):
+        raise SchemaError(f"{path}: expected a finite number, got {value}")
+    return float(value)
+
+
 def _float_list(value: Any, path: str) -> tuple[float, ...]:
-    if not isinstance(value, list) or not all(isinstance(x, (int, float)) and
-                                              not isinstance(x, bool) for x in value):
+    if not isinstance(value, list):
         raise SchemaError(f"{path}: expected a list of numbers")
-    return tuple(float(x) for x in value)
+    return tuple(_float(x, f"{path}[{i}]") for i, x in enumerate(value))
 
 
 def _parse(text: Any, dim: int, path: str):
@@ -71,13 +80,7 @@ def _tolerances(d: dict | None, path: str) -> Tolerances:
     if d is None:
         return DEFAULT_TOLERANCES
     _check_fields(d, set(_TOL_FIELDS), path)
-    kwargs = {}
-    for key in _TOL_FIELDS:
-        if key in d:
-            if not isinstance(d[key], (int, float)) or isinstance(d[key], bool):
-                raise SchemaError(f"{path}.{key}: expected a number")
-            kwargs[key] = float(d[key])
-    return Tolerances(**kwargs)
+    return Tolerances(**{key: _float(d[key], f"{path}.{key}") for key in _TOL_FIELDS if key in d})
 
 
 def _grid_ppd(d: dict | None, dim: int, path: str) -> int:
@@ -115,7 +118,7 @@ def _constraints(raw: Any, dim: int, path: str):
 
 def _check_validity(objectives, box_lo, box_hi, ppd: int, where: str) -> None:
     try:
-        endpoint_values(objectives, _grid_array(box_lo, box_hi, GridSpec(ppd)))
+        endpoint_values(objectives, grid_points(box_lo, box_hi, GridSpec(ppd)))
     except IntervalError as exc:
         raise SchemaError(f"{where}: objective {exc.objective} invalid at grid point "
                           f"{exc.point}: {exc.detail}") from exc

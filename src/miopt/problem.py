@@ -89,7 +89,7 @@ def as_epsilon(eps, m: int) -> np.ndarray:
         arr = np.full(m, float(arr[0]))
     if arr.size != m:
         raise ValueError(f"epsilon has {arr.size} components, expected {m}")
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):
         raise ValueError("epsilon components must be >= 0")
     return arr
 
@@ -160,10 +160,7 @@ def is_weak_eps_quasi_minimal(problem: MIOProblem, u: Sequence[float], eps,
     return True
 
 
-def restrict_to_ball(candidates: Iterable[Sequence[float]], center: Sequence[float],
-                     radius: float) -> list[np.ndarray]:
-    """Candidates within the closed ball (for local solution variants)."""
-    pts = [np.asarray(z, dtype=float) for z in candidates]
-    if not pts:
-        return []
-    return [z for z, inside in zip(pts, distances(pts, center) <= radius) if inside]
+def restrict_to_ball(candidates, center: Sequence[float], radius: float) -> np.ndarray:
+    """The (M, n) array of the candidate rows within the closed ball."""
+    pts = np.asarray(candidates, dtype=float)
+    return pts[distances(pts, center) <= radius]

@@ -55,7 +55,7 @@ def ref_eps_mask(table, earr):
 
 def ref_prop21(problem, eps0, spec):
     pts = feasible_grid(problem, spec)
-    if not pts:
+    if len(pts) == 0:
         return 0, []
     table = value_table(problem, pts)
     root = float(np.sqrt(eps0))
@@ -237,7 +237,7 @@ def test_prop_2_1_report_equals_brute_force(data):
 
 def draw_point(data, prob, pts):
     """A grid point, or a dyadic point between grid points (feasible or not)."""
-    if pts and data.draw(st.booleans()):
+    if len(pts) and data.draw(st.booleans()):
         return pts[data.draw(st.integers(0, len(pts) - 1))]
     return np.array(data.draw(st.lists(st.integers(-16, 16), min_size=prob.dim,
                                        max_size=prob.dim))) / 16.0
@@ -249,7 +249,7 @@ def test_thm_3_3_conclusion_equals_scalar_predicate(data):
     prob = data.draw(problems())
     spec = grid_spec(data.draw, prob)
     pts = feasible_grid(prob, spec)
-    if not pts:
+    if len(pts) == 0:
         return
     u_bar = draw_point(data, prob, pts)
     if not feasible(prob, u_bar):
@@ -283,7 +283,7 @@ def test_point_query_equals_scalar_predicates(data):
     u = draw_point(data, prob, pts)
     # every candidate, a subset of them, or none
     picks = data.draw(st.sampled_from(["all", "some", "none"]))
-    if picks == "some" and pts:
+    if picks == "some" and len(pts):
         cands = [pts[k] for k in sorted(set(data.draw(
             st.lists(st.integers(0, len(pts) - 1), max_size=len(pts)))))]
     else:
@@ -303,7 +303,7 @@ def test_evp_flags_equal_scalar_predicates(data):
     prob = data.draw(problems())
     spec = grid_spec(data.draw, prob)
     pts = feasible_grid(prob, spec)
-    if not pts:
+    if len(pts) == 0:
         return
     m = prob.n_objectives
     eps = data.draw(st.sampled_from([0.0625, 0.25, 1.0]))

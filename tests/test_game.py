@@ -94,7 +94,7 @@ def test_infeasible_profile_rejected(abs_game):
 def ref_find_deviation(game, i, u_bar, eps, quasi=False):
     """Point-by-point scalar reference: the first grid row of player i
     that is feasible and strictly improves every loss past the handicap."""
-    from miopt.game import _grid_array, player_spec
+    from miopt.game import grid_points, player_spec
 
     u_arr = np.asarray(u_bar, dtype=float)
     pl = game.players[i]
@@ -102,7 +102,7 @@ def ref_find_deviation(game, i, u_bar, eps, quasi=False):
     ui = game.block(i, u_arr)
     eps = np.broadcast_to(np.asarray(eps, dtype=float), (len(pl.objectives),))
     base = [(f.center(u_arr), f.halfwidth(u_arr)) for f in pl.objectives]
-    for y in _grid_array(pl.box_lo, pl.box_hi, player_spec(game, i)):
+    for y in grid_points(pl.box_lo, pl.box_hi, player_spec(game, i)):
         profile = u_arr.copy()
         profile[start:start + pl.dim] = y
         if any(eval_expr(g, profile) > game.tolerances.tau_feas for g in pl.constraints):

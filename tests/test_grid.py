@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from miopt import (GridError, GridSpec, check_prop_2_1, check_thm_3_3,
                    default_points_per_dim, feasible, feasible_grid,
-                   grid_points, spec_for, value_table)
+                   grid_points, restrict_to_ball, spec_for, value_table)
+from miopt.problem import distances
 from .conftest import make_problem
 
 
@@ -35,7 +38,48 @@ def test_unconstrained_grid_is_full():
 
 def test_infeasible_model_gives_empty_grid():
     prob = make_problem(1, [("u0", "u0")], ["0*u0 + 1"], [-2], [2])
-    assert feasible_grid(prob, GridSpec(5)) == []
+    assert feasible_grid(prob, GridSpec(5)).shape == (0, 1)
+
+
+def _grid_array_of(a, n):
+    """Whether a is a C-contiguous float64 array of shape (N, n)."""
+    return (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == 2
+            and a.shape[1] == n and a.flags.c_contiguous)
+
+
+@pytest.mark.parametrize("dim,ppd,constraints", [
+    (1, 41, ["u0 - 0.3"]),
+    (2, 9, ["u0^2 + u1^2 - 1"]),
+    (3, 5, ["u0*u1 - u2", "max(u0, u2) - 0.6"]),
+])
+def test_grid_functions_return_one_array_format(dim, ppd, constraints):
+    # one format: (N, n) float arrays whose rows are, bit for bit, the
+    # itertools.product grid, its scalar feasible filter and its scalar
+    # distance filter
+    prob = make_problem(dim, [("u0", "u0 + 1")], constraints, [-1.0] * dim, [1.0] * dim)
+    spec = GridSpec(ppd)
+    axes = [lo + np.arange(ppd, dtype=float) * (hi - lo) / (ppd - 1)
+            for lo, hi in zip(prob.box_lo, prob.box_hi)]
+    ref = np.array(list(itertools.product(*axes)))
+    pts = grid_points(prob.box_lo, prob.box_hi, spec)
+    assert _grid_array_of(pts, dim) and pts.tobytes() == ref.tobytes()
+
+    feas = feasible_grid(prob, spec)
+    ref_feas = np.array([p for p in ref if feasible(prob, p)])
+    assert 0 < len(feas) < len(pts)
+    assert _grid_array_of(feas, dim) and feas.tobytes() == ref_feas.tobytes()
+
+    center = feas[len(feas) // 2]
+    for radius in (0.0, 0.5, 10.0):
+        ball = restrict_to_ball(feas, center, radius)
+        ref_ball = np.array([z for z in feas if distances(z, center) <= radius])
+        assert _grid_array_of(ball, dim) and ball.tobytes() == ref_ball.tobytes()
+    assert restrict_to_ball(feas, center + 10.0, 0.5).shape == (0, dim)
+
+    empty = feasible_grid(make_problem(dim, [("u0", "u0")], ["0*u0 + 1"],
+                                       [-1.0] * dim, [1.0] * dim), spec)
+    assert _grid_array_of(empty, dim) and empty.shape == (0, dim)
+    assert restrict_to_ball(empty, center, 10.0).shape == (0, dim)
 
 
 def test_grid_is_deterministic_and_inclusive():

@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -126,6 +127,32 @@ def test_bad_tolerance_field():
     d["tolerances"] = {"tau_typo": 1e-4}
     with pytest.raises(SchemaError, match="tau_typo"):
         problem_from_dict(d)
+
+
+@pytest.mark.parametrize("where,value,field", [
+    ("box", {"lo": [-2], "hi": [float("inf")]}, "box.hi[0]"),
+    ("box", {"lo": [float("nan")], "hi": [2]}, "box.lo[0]"),
+    ("tolerances", {"tau_feas": float("nan")}, "tolerances.tau_feas"),
+    ("tolerances", {"mu_max": float("-inf")}, "tolerances.mu_max"),
+    ("epsilon", [0.1, float("inf")], "epsilon[1]"),
+])
+def test_non_finite_file_field_is_named(tmp_path, where, value, field):
+    # json reads NaN and Infinity; a box or tolerance built from them gave
+    # NaN grid points or turned every point infeasible
+    d = copy.deepcopy(ABS_PROBLEM_JSON)
+    d[where] = value
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(d))
+    assert ("NaN" in path.read_text()) or ("Infinity" in path.read_text())
+    with pytest.raises(SchemaError, match=re.escape(f"p.json.{field}: expected a finite number")):
+        load(str(path))
+
+
+def test_non_finite_player_box_is_named():
+    d = copy.deepcopy(QUAD_GAME_JSON)
+    d["players"][1]["box"]["hi"] = [float("nan")]
+    with pytest.raises(SchemaError, match=re.escape("game.players[1].box.hi[0]: expected a finite")):
+        game_from_dict(d)
 
 
 def test_not_json(tmp_path):
@@ -273,6 +300,27 @@ def test_cli_infeasible_point_message_prints_plain_floats(tmp_path, capsys):
     for command in ("kkt", "bcq"):
         assert main([command, "--problem", str(path), "--point", "0"]) == 3
         assert "error: point [0.0] is infeasible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--point=0", "--concept=weak-eps-min", "--eps=nan"],
+    ["verify", "--point=0", "--concept=weak-min", "--grid=0"],
+    ["verify", "--point=nan", "--concept=weak-min"],
+    ["prop21", "--eps0=nan"],
+    ["seqkkt", "--point=0", "--xs=0.1;0", "--eps-seq=nan,0.1"],
+    ["seqkkt", "--point=0", "--xs=inf;0", "--eps-seq=0.1"],
+    ["epskkt", "--point=0", "--eps=0.1", "--delta=nan"],
+    ["modkkt", "--point=0", "--eps=nan"],
+    ["kkt", "--point=0", "--radius=nan"],
+    ["kkt", "--point=0", "--radius=inf"],
+    ["kkt", "--point=0", "--tau-act=nan"],
+    ["kkt", "--point=0", "--cor41-eps=-inf"],
+    ["exist", "--eps=0.1", "--start=inf"],
+])
+def test_cli_non_finite_number_is_usage_error(abs_problem_file, capsys, argv):
+    # each gave a verdict (or exit 2) computed from NaN, or ignored --grid=0
+    assert main(argv[:1] + ["--problem", abs_problem_file] + argv[1:]) == 3
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_game_verify_holds(quad_game_file, capsys):

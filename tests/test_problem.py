@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import miopt
 from miopt import (GridSpec, active_set, as_epsilon, feasible, feasible_grid,
                    is_weak_eps_minimal, is_weak_eps_quasi_minimal,
                    is_weak_minimal, restrict_to_ball)
@@ -95,6 +96,21 @@ def test_eps_monotonicity(quad_problem):
         e2 = e1 + float(rng.uniform(0, 1))
         if is_weak_eps_minimal(quad_problem, u, e1, pts):
             assert is_weak_eps_minimal(quad_problem, u, e2, pts)
+
+
+@pytest.mark.parametrize("call", [
+    lambda prob: as_epsilon(np.nan, 1),
+    lambda prob: as_epsilon([0.1, np.nan], 2),
+    lambda prob: miopt.check_prop_2_1(prob, np.nan, GridSpec(11)),
+    lambda prob: miopt.eps_kkt_thm_4_1(prob, [0.0], 0.1, np.nan, GridSpec(11)),
+    lambda prob: miopt.kkt_check(prob, [0.0], radius=np.nan),
+    lambda prob: miopt.approx_kkt_sequence(prob, [0.0], [[0.1]], [np.nan], GridSpec(11)),
+    lambda prob: miopt.modified_eps_kkt(prob, [0.0], np.nan, GridSpec(11)),
+    lambda prob: miopt.evp_descent_vector(prob, np.nan, GridSpec(11), [0.0]),
+])
+def test_nan_fails_the_range_checks(abs_problem, call):
+    with pytest.raises(ValueError):
+        call(abs_problem)
 
 
 def test_restrict_to_ball():
