@@ -52,25 +52,26 @@ def nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, int]:
     the residual, if positively; it is refused when its least-squares
     coefficient is not positive.  Every accepted step lowers the
     residual, so no passive set repeats and the loop ends; a step that
-    fails to lower it in floating point ends it too."""
+    fails to lower it in floating point ends it too.  One QR refit on the
+    unscaled columns of the final support (not counted) ends the solve."""
     n = E.shape[1]
     norms = np.sqrt((E * E).sum(axis=0))
     norms[norms == 0.0] = 1.0
-    E = E / norms
+    A = E / norms
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
     best = float(f @ f)
-    tol = 10.0 * max(E.shape) * EPS * math.sqrt(best)
-    dual = E.T @ f
+    tol = 10.0 * max(A.shape) * EPS * math.sqrt(best)
+    dual = A.T @ f
     solves = 0
     while True:
         dual[passive] = -np.inf
         t = int(dual.argmax())
         if not dual[t] > tol:
-            return x / norms, solves
+            break
         trial = passive.copy()
         trial[t] = True
-        z = _least_squares(E, f, trial)
+        z = _least_squares(A, f, trial)
         solves += 1
         if not z[t] > 0.0:
             dual[t] = -np.inf   # refused until the next accepted step
@@ -84,19 +85,39 @@ def nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, int]:
             y = y + float(ratios[k]) * (z - y)
             y[blocked[k]] = 0.0
             trial &= y > 0.0
-            z = _least_squares(E, f, trial)
+            z = _least_squares(A, f, trial)
             solves += 1
-        r = f - E @ z
+        r = f - A @ z
         rr = float(r @ r)
         if not rr < best:
-            return x / norms, solves
-        x, passive, best, dual = z, trial, rr, E.T @ r
+            break
+        x, passive, best, dual = z, trial, rr, A.T @ r
+    return _refit(E, f, x / norms), solves
 
 
 def _least_squares(E: np.ndarray, f: np.ndarray, cols: np.ndarray) -> np.ndarray:
     z = np.zeros(E.shape[1])
     z[cols] = np.linalg.lstsq(E[:, cols], f, rcond=None)[0]
     return z
+
+
+def _refit(E: np.ndarray, f: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x, or the QR least-squares fit of f on the unscaled columns of E where
+    x > 0 when that fit is finite, positive and closer to f.  On columns
+    of very different scales the fit on scaled columns can stop short of
+    the optimum of its own support by more than 1e-9."""
+    support = x > 0.0
+    q, r = np.linalg.qr(E[:, support])
+    with np.errstate(all="ignore"):
+        try:
+            z = np.linalg.solve(r, q.T @ f)   # r is not square on a wide support
+        except np.linalg.LinAlgError:
+            return x
+    if not (np.isfinite(z).all() and (z > 0.0).all()):
+        return x
+    y = np.zeros_like(x)
+    y[support] = z
+    return y if np.linalg.norm(E @ y - f) < np.linalg.norm(E @ x - f) else x
 
 
 @dataclass

@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 the verdict holds, 1 it fails, 2 inconclusive (grid
-resolution or solver limits), 3 usage or model error.  Every report
-echoes the effective tolerances and grid resolution; --json writes the
-full machine-readable report.
+resolution or solver limits), 3 usage or model error.  ``main`` loads
+the model once, parses --point against its dimension and hands both to
+the subcommand's handler; every problem report echoes the effective
+tolerances and grid resolution, and --json writes the full
+machine-readable report.
 """
 
 from __future__ import annotations
@@ -75,10 +77,17 @@ def _check_finite(args) -> None:
             raise UsageError(f"--{name.replace('_', '-')}: expected a finite number, got {val}")
 
 
-def _load_problem(args) -> tuple[MIOProblem, GridSpec]:
-    model = io_mod.load(args.problem)
-    if isinstance(model, Game):
-        raise UsageError(f"{args.problem} is a game file; this command needs a problem")
+def _load(args) -> tuple[MIOProblem | Game, GridSpec | None]:
+    """The model of --problem or --game, which must be the kind the command
+    needs; a problem gets the tolerance flags and its grid (None for a game)."""
+    need = "game" if "game" in args else "problem"
+    path = getattr(args, need)
+    model = io_mod.load(path)
+    have = "game" if isinstance(model, Game) else "problem"
+    if have != need:
+        raise UsageError(f"{path} is a {have} file; this command needs a {need}")
+    if need == "game":
+        return model, None
     overrides = {k: getattr(args, k) for k in ("tau_feas", "tau_act", "tau_solver", "mu_max")
                  if getattr(args, k) is not None}
     if overrides:
@@ -86,18 +95,6 @@ def _load_problem(args) -> tuple[MIOProblem, GridSpec]:
             model, tolerances=dataclasses.replace(model.tolerances, **overrides))
     ppd = args.grid if args.grid is not None else model.metadata["points_per_dim"]
     return model, GridSpec(ppd)
-
-
-def _load_game(args) -> Game:
-    model = io_mod.load(args.game)
-    if not isinstance(model, Game):
-        raise UsageError(f"{args.game} is a problem file; this command needs a game")
-    return model
-
-
-def _config(problem: MIOProblem, spec: GridSpec) -> dict:
-    return {"tolerances": dataclasses.asdict(problem.tolerances),
-            "points_per_dim": spec.points_per_dim}
 
 
 def _report_line(report: certificates.CertificateReport) -> dict:
@@ -110,7 +107,9 @@ def _report_line(report: certificates.CertificateReport) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each returns (verdict, payload)
+# Command handlers: each gets the parsed arguments (--point already a
+# vector), the loaded model and its grid (None for a game), and returns
+# (verdict, payload)
 # ---------------------------------------------------------------------------
 
 # verify --concept -> (whether it takes --eps, whether the handicap is quasi)
@@ -118,11 +117,9 @@ _CONCEPTS = {"weak-min": (False, False), "weak-eps-min": (True, False),
              "weak-eps-qmin": (True, True)}
 
 
-def _cmd_verify(args):
-    problem, spec = _load_problem(args)
-    point = _parse_point(args.point, problem.dim)
-    if not feasible(problem, point):
-        raise UsageError(f"point {point.tolist()} is infeasible")
+def _cmd_verify(args, problem, spec):
+    if not feasible(problem, args.point):
+        raise UsageError(f"point {args.point.tolist()} is infeasible")
     pts = grid_mod.feasible_grid(problem, spec)
     takes_eps, quasi = _CONCEPTS[args.concept]
     eps = 0.0
@@ -131,30 +128,22 @@ def _cmd_verify(args):
             raise UsageError(f"--eps is required for concept {args.concept}")
         eps = as_epsilon(_parse_vector(args.eps), problem.n_objectives)
     table = grid_mod.value_table(problem, pts)
-    verdict = "fails" if grid_mod.point_dominated(problem, table, point, eps, quasi) else "holds"
-    return verdict, {"concept": args.concept, "point": point,
-                     "grid_size": len(pts), "config": _config(problem, spec)}
+    dominated = grid_mod.point_dominated(problem, table, args.point, eps, quasi)
+    verdict = "fails" if dominated else "holds"
+    return verdict, {"concept": args.concept, "point": args.point, "grid_size": len(pts)}
 
 
-def _cmd_exist(args):
-    problem, spec = _load_problem(args)
+def _cmd_exist(args, problem, spec):
     earr = as_epsilon(_parse_vector(args.eps), problem.n_objectives)
-    pts = grid_mod.feasible_grid(problem, spec)
-    if len(pts) == 0:
-        raise UsageError("feasible grid is empty")
-    start = _parse_point(args.start, problem.dim, "start") if args.start else pts[0]
+    start = _parse_point(args.start, problem.dim, "start") if args.start else None
     point, trace = evp.descent_eps_minimal(problem, earr, spec, start)
-    return "holds", {"point": point, "start": start,
+    return "holds", {"point": point, "start": trace.iterates[0] if start is None else start,
                      "iterations": len(trace.iterates) - 1,
-                     "merits": trace.merits, "config": _config(problem, spec)}
+                     "merits": trace.merits}
 
 
-def _cmd_evp(args):
-    problem, spec = _load_problem(args)
-    pts = grid_mod.feasible_grid(problem, spec)
-    if len(pts) == 0:
-        raise UsageError("feasible grid is empty")
-    x0 = _parse_point(args.x0, problem.dim, "x0") if args.x0 else pts[0]
+def _cmd_evp(args, problem, spec):
+    x0 = _parse_point(args.x0, problem.dim, "x0") if args.x0 else None
     if args.vector:
         earr = _parse_vector(args.eps)
         if earr.size != 1:
@@ -164,14 +153,13 @@ def _cmd_evp(args):
         earr = as_epsilon(_parse_vector(args.eps), problem.n_objectives)
         point, cert = evp.evp_descent(problem, earr, spec, x0)
     verdict = "holds" if cert.all_hold else "fails"
-    return verdict, {"point": point, "x0": x0,
+    return verdict, {"point": point, "x0": cert.trace.iterates[0] if x0 is None else x0,
                      "a_holds": cert.a_holds, "b_value": cert.b_value,
                      "b_bound": cert.b_bound, "b_holds": cert.b_holds,
-                     "c_holds": cert.c_holds, "config": _config(problem, spec)}
+                     "c_holds": cert.c_holds}
 
 
-def _cmd_quasi(args):
-    problem, spec = _load_problem(args)
+def _cmd_quasi(args, problem, spec):
     earr = as_epsilon(_parse_vector(args.eps), problem.n_objectives)
     rep = evp.quasi_existence(problem, earr, spec)
     ok = rep.qm_verified and rep.ball_check is not False
@@ -181,91 +169,68 @@ def _cmd_quasi(args):
                      "certificate": {"a": rep.evp_certificate.a_holds,
                                      "b_value": rep.evp_certificate.b_value,
                                      "b_bound": rep.evp_certificate.b_bound,
-                                     "c": rep.evp_certificate.c_holds},
-                     "config": _config(problem, spec)}
+                                     "c": rep.evp_certificate.c_holds}}
 
 
-def _cmd_thm33(args):
-    problem, spec = _load_problem(args)
-    point = _parse_point(args.point, problem.dim)
+def _cmd_thm33(args, problem, spec):
     earr = as_epsilon(_parse_vector(args.eps), problem.n_objectives)
-    verdict_obj = grid_mod.check_thm_3_3(problem, point, earr, spec)
+    verdict_obj = grid_mod.check_thm_3_3(problem, args.point, earr, spec)
     if not verdict_obj.hypothesis_holds:
-        return "fails", {"hypothesis_holds": False, "witness": verdict_obj.witness,
-                         "config": _config(problem, spec)}
+        return "fails", {"hypothesis_holds": False, "witness": verdict_obj.witness}
     verdict = "holds" if verdict_obj.conclusion_verified else "fails"
     return verdict, {"hypothesis_holds": True,
-                     "conclusion_verified": verdict_obj.conclusion_verified,
-                     "config": _config(problem, spec)}
+                     "conclusion_verified": verdict_obj.conclusion_verified}
 
 
-def _cmd_kkt(args):
-    problem, spec = _load_problem(args)
-    point = _parse_point(args.point, problem.dim)
+def _cmd_kkt(args, problem, spec):
     cor41 = None
     if args.cor41_eps is not None:
         cor41 = as_epsilon(_parse_vector(args.cor41_eps, "cor41-eps"), problem.n_objectives)
-    report = certificates.kkt_check(problem, point, radius=args.radius,
+    report = certificates.kkt_check(problem, args.point, radius=args.radius,
                                     cor41_eps=cor41)
-    return report.verdict, {**_report_line(report), "point": point,
-                            "config": _config(problem, spec)}
+    return report.verdict, {**_report_line(report), "point": args.point}
 
 
-def _cmd_epskkt(args):
-    problem, spec = _load_problem(args)
-    point = _parse_point(args.point, problem.dim)
+def _cmd_epskkt(args, problem, spec):
     earr = as_epsilon(_parse_vector(args.eps), problem.n_objectives)
-    outcome = certificates.eps_kkt_thm_4_1(problem, point, earr, args.delta, spec)
-    payload = {"verdict": outcome.verdict, "points_scanned": outcome.points_scanned,
-               "config": _config(problem, spec)}
+    outcome = certificates.eps_kkt_thm_4_1(problem, args.point, earr, args.delta, spec)
+    payload = {"points_scanned": outcome.points_scanned}
     if outcome.point is not None:
         payload["x_delta"] = outcome.point
         payload["certificate"] = _report_line(outcome.report)
     return outcome.verdict, payload
 
 
-def _cmd_bcq(args):
-    problem, spec = _load_problem(args)
-    point = _parse_point(args.point, problem.dim)
-    rep = certificates.bcq_check(problem, point)
+def _cmd_bcq(args, problem, spec):
+    rep = certificates.bcq_check(problem, args.point)
     verdict = "holds" if rep.holds else "fails"
     return verdict, {"distance": rep.distance, "active_set": list(rep.active),
-                     "vacuous": rep.vacuous, "config": _config(problem, spec)}
+                     "vacuous": rep.vacuous}
 
 
-def _cmd_genconvex(args):
-    problem, spec = _load_problem(args)
-    point = _parse_point(args.point, problem.dim)
+def _cmd_genconvex(args, problem, spec):
     samples = grid_mod.feasible_grid(problem, spec)
-    rep = certificates.gen_convexity_check(problem, point, samples)
+    rep = certificates.gen_convexity_check(problem, args.point, samples)
     return rep.verdict, {"samples_checked": rep.samples_checked,
                          "infeasible_samples": rep.infeasible_samples,
-                         "stalled_samples": rep.stalled_samples,
-                         "config": _config(problem, spec)}
+                         "stalled_samples": rep.stalled_samples}
 
 
-def _cmd_sufficiency(args):
-    problem, spec = _load_problem(args)
-    point = _parse_point(args.point, problem.dim)
+def _cmd_sufficiency(args, problem, spec):
     earr = as_epsilon(_parse_vector(args.eps), problem.n_objectives)
-    rep = certificates.sufficiency_thm_4_3(problem, point, earr, spec)
-    payload = {"verdict": rep.verdict, "qm_confirmed": rep.qm_confirmed,
-               "config": _config(problem, spec)}
+    rep = certificates.sufficiency_thm_4_3(problem, args.point, earr, spec)
+    payload = {"qm_confirmed": rep.qm_confirmed}
     if rep.kkt is not None:
         payload["kkt"] = _report_line(rep.kkt)
     return rep.verdict, payload
 
 
-def _cmd_modkkt(args):
-    problem, spec = _load_problem(args)
-    point = _parse_point(args.point, problem.dim)
+def _cmd_modkkt(args, problem, spec):
     earr = _parse_vector(args.eps)
     if earr.size != 1:
         raise UsageError("modkkt takes a single scalar --eps")
-    outcome = certificates.modified_eps_kkt(problem, point, float(earr[0]), spec)
-    payload = {"verdict": outcome.verdict,
-               "complementarity_value": outcome.complementarity_value,
-               "config": _config(problem, spec)}
+    outcome = certificates.modified_eps_kkt(problem, args.point, float(earr[0]), spec)
+    payload = {"complementarity_value": outcome.complementarity_value}
     if outcome.point is not None:
         payload["x_eps"] = outcome.point
     if outcome.report is not None:
@@ -273,9 +238,7 @@ def _cmd_modkkt(args):
     return outcome.verdict, payload
 
 
-def _cmd_seqkkt(args):
-    problem, spec = _load_problem(args)
-    point = _parse_point(args.point, problem.dim)
+def _cmd_seqkkt(args, problem, spec):
     xs = [_parse_point(chunk, problem.dim, "xs")
           for chunk in args.xs.split(";") if chunk.strip()]
     if not xs:
@@ -284,7 +247,7 @@ def _cmd_seqkkt(args):
     inflate = None
     if args.inflate is not None:
         inflate = as_epsilon(_parse_vector(args.inflate, "inflate"), problem.n_objectives)
-    rep = certificates.approx_kkt_sequence(problem, point, xs, eps_seq, spec,
+    rep = certificates.approx_kkt_sequence(problem, args.point, xs, eps_seq, spec,
                                            inflate=inflate)
     if rep.all_ok:
         verdict = "holds"
@@ -295,40 +258,34 @@ def _cmd_seqkkt(args):
     entries = [{"i": e.i, "eps": e.eps_i, "z_index": e.z_index, "z": e.z,
                 "y": e.y, "residual": e.residual, "ok": e.ok, "reason": e.reason}
                for e in rep.entries]
-    return verdict, {"entries": entries, "config": _config(problem, spec)}
+    return verdict, {"entries": entries}
 
 
-def _cmd_prop21(args):
-    problem, spec = _load_problem(args)
+def _cmd_prop21(args, problem, spec):
     rep = grid_mod.check_prop_2_1(problem, args.eps0, spec)
     verdict = "holds" if rep.ok else "fails"
     return verdict, {"eps0": rep.eps0, "checked": rep.checked,
-                     "violations": rep.violations,
-                     "config": _config(problem, spec)}
+                     "violations": rep.violations}
 
 
-def _cmd_game_verify(args):
-    game = _load_game(args)
-    point = _parse_point(args.point, game.profile_dim)
+def _cmd_game_verify(args, game, spec):
     eps = _parse_vector(args.eps)
     quasi = args.concept == "qne"
     check = game_mod.is_w_eps_qne if quasi else game_mod.is_w_eps_ne
-    ok = check(game, point, eps)
-    payload = {"concept": args.concept, "point": point}
+    ok = check(game, args.point, eps)
+    payload = {"concept": args.concept, "point": args.point}
     if not ok:
         for i in range(game.n_players):
-            dev = game_mod.find_deviation(game, i, point, eps, quasi=quasi)
+            dev = game_mod.find_deviation(game, i, args.point, eps, quasi=quasi)
             if dev is not None:
                 payload["deviation"] = {"player": i, "strategy": dev}
                 break
     return ("holds" if ok else "fails"), payload
 
 
-def _cmd_game_kkt(args):
-    game = _load_game(args)
-    point = _parse_point(args.point, game.profile_dim)
+def _cmd_game_kkt(args, game, spec):
     eps = _parse_vector(args.eps)
-    outcomes = game_mod.game_kkt(game, point, eps, mode=args.mode, delta=args.delta)
+    outcomes = game_mod.game_kkt(game, args.point, eps, mode=args.mode, delta=args.delta)
     per_player = []
     verdicts = []
     for out in outcomes:
@@ -351,24 +308,11 @@ def _cmd_game_kkt(args):
     return verdict, {"mode": args.mode, "players": per_player}
 
 
-def _cmd_game_sufficiency(args):
-    game = _load_game(args)
-    point = _parse_point(args.point, game.profile_dim)
+def _cmd_game_sufficiency(args, game, spec):
     eps = _parse_vector(args.eps)
-    rep = game_mod.game_sufficiency(game, point, eps)
+    rep = game_mod.game_sufficiency(game, args.point, eps)
     return rep.verdict, {"per_player": rep.per_player,
                          "qne_confirmed": rep.qne_confirmed}
-
-
-_HANDLERS = {
-    "verify": _cmd_verify, "exist": _cmd_exist, "evp": _cmd_evp,
-    "quasi": _cmd_quasi, "thm33": _cmd_thm33, "kkt": _cmd_kkt,
-    "epskkt": _cmd_epskkt, "bcq": _cmd_bcq, "genconvex": _cmd_genconvex,
-    "sufficiency": _cmd_sufficiency, "modkkt": _cmd_modkkt,
-    "seqkkt": _cmd_seqkkt, "prop21": _cmd_prop21,
-    "game-verify": _cmd_game_verify, "game-kkt": _cmd_game_kkt,
-    "game-sufficiency": _cmd_game_sufficiency,
-}
 
 
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:
@@ -387,65 +331,59 @@ def build_parser() -> argparse.ArgumentParser:
                     "optimization problems and games.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name, help_text, game=False):
+    def cmd(name, handler, help_text, game=False, point=True):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         if game:
             p.add_argument("--game", required=True, help="game JSON file")
         else:
             _add_problem_flags(p)
         p.add_argument("--json", dest="json_path", default=None,
                        help="write the full report as JSON to this path")
+        if point:
+            p.add_argument("--point", required=True)
         return p
 
-    p = cmd("verify", "check a solution concept at a point")
-    p.add_argument("--point", required=True)
+    p = cmd("verify", _cmd_verify, "check a solution concept at a point")
     p.add_argument("--concept", required=True, choices=list(_CONCEPTS))
     p.add_argument("--eps", default=None)
 
-    p = cmd("exist", "descend to a weak eps-minimal grid point")
+    p = cmd("exist", _cmd_exist, "descend to a weak eps-minimal grid point", point=False)
     p.add_argument("--eps", required=True)
     p.add_argument("--start", default=None)
 
-    p = cmd("evp", "Ekeland-type descent with (a)-(c) certificate")
+    p = cmd("evp", _cmd_evp, "Ekeland-type descent with (a)-(c) certificate", point=False)
     p.add_argument("--eps", required=True)
     p.add_argument("--x0", default=None)
     p.add_argument("--vector", action="store_true",
                    help="componentwise variant (scalar eps)")
 
-    p = cmd("quasi", "existence pipeline for weak sqrt(eps)-quasi-minimal points")
+    p = cmd("quasi", _cmd_quasi, "existence pipeline for weak sqrt(eps)-quasi-minimal points",
+            point=False)
     p.add_argument("--eps", required=True)
 
-    p = cmd("thm33", "distance-penalized minimality implies quasi-minimality")
-    p.add_argument("--point", required=True)
+    p = cmd("thm33", _cmd_thm33, "distance-penalized minimality implies quasi-minimality")
     p.add_argument("--eps", required=True)
 
-    p = cmd("kkt", "multiplier certificate at a point")
-    p.add_argument("--point", required=True)
+    p = cmd("kkt", _cmd_kkt, "multiplier certificate at a point")
     p.add_argument("--radius", type=float, default=0.0)
     p.add_argument("--cor41-eps", dest="cor41_eps", default=None,
                    help="accept residual up to sum(lambda_k * eps_k)")
 
-    p = cmd("epskkt", "search a delta-ball for an approximate KKT point")
-    p.add_argument("--point", required=True)
+    p = cmd("epskkt", _cmd_epskkt, "search a delta-ball for an approximate KKT point")
     p.add_argument("--eps", required=True)
     p.add_argument("--delta", type=float, required=True)
 
-    p = cmd("bcq", "basic constraint qualification at a point")
-    p.add_argument("--point", required=True)
+    cmd("bcq", _cmd_bcq, "basic constraint qualification at a point")
+    cmd("genconvex", _cmd_genconvex, "generalized convexity at a point over the grid")
 
-    p = cmd("genconvex", "generalized convexity at a point over the grid")
-    p.add_argument("--point", required=True)
-
-    p = cmd("sufficiency", "KKT + generalized convexity => quasi-minimality")
-    p.add_argument("--point", required=True)
+    p = cmd("sufficiency", _cmd_sufficiency, "KKT + generalized convexity => quasi-minimality")
     p.add_argument("--eps", required=True)
 
-    p = cmd("modkkt", "modified eps-KKT point search")
-    p.add_argument("--point", required=True)
+    p = cmd("modkkt", _cmd_modkkt, "modified eps-KKT point search")
     p.add_argument("--eps", required=True)
 
-    p = cmd("seqkkt", "approximate KKT sequence verification")
-    p.add_argument("--point", required=True)
+    p = cmd("seqkkt", _cmd_seqkkt, "approximate KKT sequence verification")
     p.add_argument("--xs", required=True,
                    help="semicolon-separated sequence points, e.g. '1;0.5;0.25'")
     p.add_argument("--eps-seq", dest="eps_seq", required=True,
@@ -453,22 +391,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inflate", default=None,
                    help="per-objective subdifferential inflation radii")
 
-    p = cmd("prop21", "quasi-minimal => ball eps-minimal implication scan")
+    p = cmd("prop21", _cmd_prop21, "quasi-minimal => ball eps-minimal implication scan",
+            point=False)
     p.add_argument("--eps0", type=float, required=True)
 
-    p = cmd("game-verify", "equilibrium predicate for a profile", game=True)
-    p.add_argument("--point", required=True)
+    p = cmd("game-verify", _cmd_game_verify, "equilibrium predicate for a profile", game=True)
     p.add_argument("--concept", required=True, choices=["ne", "qne"])
     p.add_argument("--eps", required=True)
 
-    p = cmd("game-kkt", "per-player multiplier certificates", game=True)
-    p.add_argument("--point", required=True)
+    p = cmd("game-kkt", _cmd_game_kkt, "per-player multiplier certificates", game=True)
     p.add_argument("--eps", required=True)
     p.add_argument("--mode", default="thm_5_2", choices=["thm_5_1", "thm_5_2"])
     p.add_argument("--delta", type=float, default=None)
 
-    p = cmd("game-sufficiency", "per-player sufficiency pipeline", game=True)
-    p.add_argument("--point", required=True)
+    p = cmd("game-sufficiency", _cmd_game_sufficiency, "per-player sufficiency pipeline",
+            game=True)
     p.add_argument("--eps", required=True)
 
     return parser
@@ -498,9 +435,16 @@ def main(argv=None) -> int:
     t0 = time.monotonic()
     try:
         _check_finite(args)
-        verdict, payload = _HANDLERS[args.command](args)
+        model, spec = _load(args)
+        if "point" in args:
+            args.point = _parse_point(args.point, model.profile_dim if spec is None else model.dim)
+        verdict, payload = args.handler(args, model, spec)
         report = {"command": args.command, "verdict": verdict,
-                  "elapsed_seconds": time.monotonic() - t0, **_to_jsonable(payload)}
+                  "elapsed_seconds": time.monotonic() - t0, **payload}
+        if spec is not None:
+            report["config"] = {"tolerances": model.tolerances,
+                                "points_per_dim": spec.points_per_dim}
+        report = _to_jsonable(report)
         # the report goes first: it must not depend on a reader of stdout
         if args.json_path:
             with open(args.json_path, "w", encoding="utf-8") as fh:

@@ -44,14 +44,17 @@ class EvpCertificate:
         return self.a_holds and self.b_holds and self.c_holds
 
 
-def _grid_index(table: ValueTable, u: Sequence[float]) -> int:
+def _start(table: ValueTable, u: Sequence[float] | None) -> tuple[int, Sequence[float]]:
+    """The row of u on the table, and u; the first row when u is None."""
+    if u is None:
+        return 0, table.points[0]
     u_arr = np.asarray(u, dtype=float)
     dists = distances(table.points, u_arr)
     i = int(np.argmin(dists))
     if dists[i] > 1e-9:
         raise DescentError(f"point {list(u_arr)} is not on the feasible grid "
                            f"(nearest grid point at distance {dists[i]:.3g})")
-    return i
+    return i, u
 
 
 def _prepare(problem: MIOProblem, spec: GridSpec) -> ValueTable:
@@ -83,14 +86,16 @@ def _check_eps(earr: np.ndarray) -> None:
 
 
 def descent_eps_minimal(problem: MIOProblem, eps, spec: GridSpec,
-                        start: Sequence[float]) -> tuple[np.ndarray, DescentTrace]:
+                        start: Sequence[float] | None = None) -> tuple[np.ndarray, DescentTrace]:
     """Descend through A(u) = {z : sum F(z) + [0, sum eps] CW-dominates
     sum F(u)} until it empties; the endpoint is weak eps-minimal on the
-    grid (per-objective domination implies sum domination)."""
+    grid (per-objective domination implies sum domination).  The descent
+    starts at ``start`` (a feasible grid point; by default the first one),
+    which the trace's first iterate reports."""
     earr = as_epsilon(eps, problem.n_objectives)
     _check_eps(earr)
     table = _prepare(problem, spec)
-    i, trace = _descent(table, earr, _grid_index(table, start))
+    i, trace = _descent(table, earr, _start(table, start)[0])
     return table.points[i].copy(), trace
 
 
@@ -121,18 +126,19 @@ def _descent(table: ValueTable, earr: np.ndarray, i: int) -> tuple[int, DescentT
 
 
 def evp_descent(problem: MIOProblem, eps, spec: GridSpec,
-                x0: Sequence[float]) -> tuple[np.ndarray, EvpCertificate]:
+                x0: Sequence[float] | None = None) -> tuple[np.ndarray, EvpCertificate]:
     """Ekeland-type iteration on the summed objective.
 
     Requires the premise that no grid point sum-dominates x0 with the
     handicap [0, sum eps]; returns a fixed point of the T-map with the
     (a)-(c) conclusions grid-verified.  The single-objective case uses the
-    scalar bound sqrt(eps).
+    scalar bound sqrt(eps).  x0 is a feasible grid point, by default the
+    first one.
     """
     earr = as_epsilon(eps, problem.n_objectives)
     _check_eps(earr)
     table = _prepare(problem, spec)
-    _, cert = _evp(table, earr, _grid_index(table, x0), x0)
+    _, cert = _evp(table, earr, *_start(table, x0))
     return cert.point, cert
 
 
@@ -175,19 +181,20 @@ def _ekeland(table: ValueTable, merit: np.ndarray, i0: int, x0: Sequence[float],
 
 
 def evp_descent_vector(problem: MIOProblem, epsilon: float, spec: GridSpec,
-                       x0: Sequence[float]) -> tuple[np.ndarray, EvpCertificate]:
+                       x0: Sequence[float] | None = None) -> tuple[np.ndarray, EvpCertificate]:
     """Componentwise Ekeland-type iteration (uniform epsilon).
 
     Premise: x0 is weak eps-minimal on the grid with eps = (epsilon,...).
     Returns u_bar with (a) grid eps-minimality, (b) ||x0 - u_bar|| <=
-    sqrt(epsilon), (c) grid sqrt(epsilon)-quasi-minimality.
+    sqrt(epsilon), (c) grid sqrt(epsilon)-quasi-minimality.  x0 defaults
+    to the first feasible grid point.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be > 0")
     root = float(np.sqrt(epsilon))
     table = _prepare(problem, spec)
     _, merit = _summed(table)
-    _, cert = _ekeland(table, merit, _grid_index(table, x0), x0,
+    _, cert = _ekeland(table, merit, *_start(table, x0),
                        np.full(problem.n_objectives, float(epsilon)), root, root,
                        "x0 is not weak eps-minimal on the grid")
     return cert.point, cert

@@ -8,7 +8,8 @@ its discretization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,6 +23,13 @@ class Tolerances:
     tau_act: float = 1e-6
     tau_solver: float = 1e-8
     mu_max: float = 1e3       # reported only: no check bounds the multipliers
+
+    def __post_init__(self) -> None:
+        # a NaN tau_feas would make every grid point infeasible
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name}: expected a finite number, got {value}")
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import miopt
 from miopt import (GridSpec, active_set, as_epsilon, feasible, feasible_grid,
                    is_weak_eps_minimal, is_weak_eps_quasi_minimal,
                    is_weak_minimal, restrict_to_ball)
-from miopt.problem import distances
+from miopt.problem import Tolerances, distances
 from .conftest import make_problem
 
 
@@ -107,6 +109,9 @@ def test_eps_monotonicity(quad_problem):
     lambda prob: miopt.approx_kkt_sequence(prob, [0.0], [[0.1]], [np.nan], GridSpec(11)),
     lambda prob: miopt.modified_eps_kkt(prob, [0.0], np.nan, GridSpec(11)),
     lambda prob: miopt.evp_descent_vector(prob, np.nan, GridSpec(11), [0.0]),
+    lambda prob: Tolerances(tau_feas=np.nan),
+    lambda prob: Tolerances(tau_solver=np.inf),
+    lambda prob: dataclasses.replace(prob.tolerances, mu_max=-np.inf),
 ])
 def test_nan_fails_the_range_checks(abs_problem, call):
     with pytest.raises(ValueError):
