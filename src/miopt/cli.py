@@ -28,7 +28,7 @@ from .expr import ExprError
 from .game import Game, GameError
 from .grid import GridError, GridSpec
 from .io import SchemaError
-from .problem import MIOProblem, as_epsilon, feasible
+from .problem import MIOProblem, Tolerances, as_epsilon, feasible
 
 _EXIT = {"holds": 0, "fails": 1, "inconclusive": 2,
          "not-found-at-resolution": 2, "hypothesis-failed": 1}
@@ -88,13 +88,12 @@ def _load(args) -> tuple[MIOProblem | Game, GridSpec | None]:
         raise UsageError(f"{path} is a {have} file; this command needs a {need}")
     if need == "game":
         return model, None
-    overrides = {k: getattr(args, k) for k in ("tau_feas", "tau_act", "tau_solver", "mu_max")
-                 if getattr(args, k) is not None}
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(Tolerances)
+                 if getattr(args, f.name) is not None}
     if overrides:
         model = dataclasses.replace(
             model, tolerances=dataclasses.replace(model.tolerances, **overrides))
-    ppd = args.grid if args.grid is not None else model.metadata["points_per_dim"]
-    return model, GridSpec(ppd)
+    return model, grid_mod.spec_for(model, args.grid)
 
 
 def _report_line(report: certificates.CertificateReport) -> dict:
@@ -318,10 +317,8 @@ def _cmd_game_sufficiency(args, game, spec):
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--problem", required=True, help="problem JSON file")
     p.add_argument("--grid", type=int, default=None, help="points per dimension")
-    p.add_argument("--tau-feas", dest="tau_feas", type=float, default=None)
-    p.add_argument("--tau-act", dest="tau_act", type=float, default=None)
-    p.add_argument("--tau-solver", dest="tau_solver", type=float, default=None)
-    p.add_argument("--mu-max", dest="mu_max", type=float, default=None)
+    for f in dataclasses.fields(Tolerances):
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

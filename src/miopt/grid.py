@@ -70,7 +70,13 @@ class GridSpec:
 
 
 def spec_for(problem: MIOProblem, points_per_dim: int | None = None) -> GridSpec:
-    return GridSpec(points_per_dim or default_points_per_dim(problem.dim))
+    """The one grid rule for a problem: points_per_dim if given, else the
+    grid of the problem's file, else the default for its dimension."""
+    if points_per_dim is None:
+        points_per_dim = problem.metadata.get("points_per_dim")
+    if points_per_dim is None:
+        points_per_dim = default_points_per_dim(problem.dim)
+    return GridSpec(points_per_dim)
 
 
 def grid_points(box_lo: Sequence[float], box_hi: Sequence[float], spec: GridSpec) -> np.ndarray:

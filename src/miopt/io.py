@@ -4,32 +4,34 @@ Validation is strict: unknown fields are errors (named by path), every
 expression must parse, and interval validity (lower <= upper) is
 confirmed on the load-time grid with a witness point on failure.
 Original expression strings are kept so load -> serialize -> load is
-bit-exact.
+bit-exact.  A problem and each game player are the same block
+(objectives, constraints, box, grid), read and checked by one reader.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict, fields
 from typing import TYPE_CHECKING, Any
 
 from .expr import ExprError, IVFunction, parse_expr, to_string
-from .grid import GridSpec, IntervalError, default_points_per_dim, endpoint_values, grid_points
+from .grid import GridSpec, IntervalError, endpoint_values, grid_points, spec_for
 from .problem import DEFAULT_TOLERANCES, MIOProblem, Tolerances
 
 if TYPE_CHECKING:
-    from .game import Game
+    from .game import Game, Player
 
 
 class SchemaError(ValueError):
     """File does not match the expected schema; message names the field."""
 
 
-_TOL_FIELDS = ("tau_feas", "tau_act", "tau_solver", "mu_max")
-_PROBLEM_FIELDS = {"dim", "name", "variables", "objectives", "constraints",
-                   "box", "grid", "tolerances", "epsilon"}
+_TOL_FIELDS = tuple(f.name for f in fields(Tolerances))
+# a problem and each game player are one block of these fields
+_BLOCK_FIELDS = {"dim", "objectives", "constraints", "box", "grid"}
+_PROBLEM_FIELDS = _BLOCK_FIELDS | {"name", "variables", "tolerances", "epsilon"}
 _GAME_FIELDS = {"name", "players", "tolerances"}
-_PLAYER_FIELDS = {"dim", "objectives", "constraints", "box", "grid"}
 
 
 def _check_fields(d: dict, allowed: set[str], path: str) -> None:
@@ -67,11 +69,18 @@ def _float_list(value: Any, path: str) -> tuple[float, ...]:
     return tuple(_float(x, f"{path}[{i}]") for i, x in enumerate(value))
 
 
-def _parse(text: Any, dim: int, path: str):
+def _name(d: dict, path: str) -> str:
+    name = d.get("name", "")
+    if not isinstance(name, str):
+        raise SchemaError(f"{path}.name: expected a string")
+    return name
+
+
+def _parse(text: Any, n_vars: int, path: str):
     if not isinstance(text, str):
         raise SchemaError(f"{path}: expected an expression string")
     try:
-        return parse_expr(text, dim)
+        return parse_expr(text, n_vars)
     except ExprError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
@@ -83,42 +92,59 @@ def _tolerances(d: dict | None, path: str) -> Tolerances:
     return Tolerances(**{key: _float(d[key], f"{path}.{key}") for key in _TOL_FIELDS if key in d})
 
 
-def _grid_ppd(d: dict | None, dim: int, path: str) -> int:
-    if d is None:
-        return default_points_per_dim(dim)
-    _check_fields(d, {"points_per_dim"}, path)
-    return _int_field(_require(d, "points_per_dim", path), f"{path}.points_per_dim")
+def _dim(d: dict, allowed: set[str], path: str) -> int:
+    _check_fields(d, allowed, path)
+    return _int_field(_require(d, "dim", path), f"{path}.dim")
 
 
-def _objectives(raw: Any, dim: int, path: str):
+def _read_block(d: dict, dim: int, n_vars: int, path: str) -> tuple[dict, int | None, dict]:
+    """The block of a problem, or of a game player, whose own variables
+    number dim: its objectives and constraints over n_vars variables (a
+    player's are over the whole profile), as MIOProblem/Player keyword
+    arguments; the file's points per dimension (None without a grid); and
+    the source strings."""
+    raw = _require(d, "objectives", path)
     if not isinstance(raw, list) or not raw:
-        raise SchemaError(f"{path}: expected a non-empty list")
-    functions = []
-    sources = []
+        raise SchemaError(f"{path}.objectives: expected a non-empty list")
+    objectives, obj_src = [], []
     for k, od in enumerate(raw):
-        opath = f"{path}[{k}]"
+        opath = f"{path}.objectives[{k}]"
         _check_fields(od, {"lower", "upper"}, opath)
-        lo_src = _require(od, "lower", opath)
-        hi_src = _require(od, "upper", opath)
-        lower = _parse(lo_src, dim, f"{opath}.lower")
-        upper = _parse(hi_src, dim, f"{opath}.upper")
-        functions.append(IVFunction(lower, upper, dim))
-        sources.append({"lower": lo_src, "upper": hi_src})
-    return tuple(functions), sources
+        src = {key: _require(od, key, opath) for key in ("lower", "upper")}
+        objectives.append(IVFunction(*(_parse(s, n_vars, f"{opath}.{key}")
+                                       for key, s in src.items()), n_vars))
+        obj_src.append(src)
+    con_src = [] if d.get("constraints") is None else d["constraints"]
+    if not isinstance(con_src, list):
+        raise SchemaError(f"{path}.constraints: expected a list of expression strings")
+    constraints = tuple(_parse(s, n_vars, f"{path}.constraints[{j}]")
+                        for j, s in enumerate(con_src))
+
+    box = _require(d, "box", path)
+    _check_fields(box, {"lo", "hi"}, f"{path}.box")
+    box_lo, box_hi = (_float_list(_require(box, key, f"{path}.box"), f"{path}.box.{key}")
+                      for key in ("lo", "hi"))
+    if len(box_lo) != dim or len(box_hi) != dim:
+        raise SchemaError(f"{path}.box: expected {dim} bounds in lo and hi")
+    for lo, hi in zip(box_lo, box_hi):
+        if not lo < hi:
+            raise SchemaError(f"{path}.box: box must have lo < hi, got [{lo}, {hi}]")
+
+    ppd = None
+    if d.get("grid") is not None:
+        _check_fields(d["grid"], {"points_per_dim"}, f"{path}.grid")
+        ppd = _int_field(_require(d["grid"], "points_per_dim", f"{path}.grid"),
+                         f"{path}.grid.points_per_dim")
+        if ppd < 2:
+            raise SchemaError(f"{path}.grid.points_per_dim: expected at least 2, got {ppd}")
+    block = {"dim": dim, "objectives": tuple(objectives), "constraints": constraints,
+             "box_lo": box_lo, "box_hi": box_hi}
+    return block, ppd, {"objectives": obj_src, "constraints": list(con_src)}
 
 
-def _constraints(raw: Any, dim: int, path: str):
-    if raw is None:
-        return (), []
-    if not isinstance(raw, list):
-        raise SchemaError(f"{path}: expected a list of expression strings")
-    exprs = tuple(_parse(src, dim, f"{path}[{j}]") for j, src in enumerate(raw))
-    return exprs, list(raw)
-
-
-def _check_validity(objectives, box_lo, box_hi, ppd: int, where: str) -> None:
+def _check_validity(problem: MIOProblem, spec: GridSpec, where: str) -> None:
     try:
-        endpoint_values(objectives, grid_points(box_lo, box_hi, GridSpec(ppd)))
+        endpoint_values(problem.objectives, grid_points(problem.box_lo, problem.box_hi, spec))
     except IntervalError as exc:
         raise SchemaError(f"{where}: objective {exc.objective} invalid at grid point "
                           f"{exc.point}: {exc.detail}") from exc
@@ -128,33 +154,26 @@ def _check_validity(objectives, box_lo, box_hi, ppd: int, where: str) -> None:
 
 
 def problem_from_dict(d: dict, path: str = "problem") -> MIOProblem:
-    _check_fields(d, _PROBLEM_FIELDS, path)
-    dim = _int_field(_require(d, "dim", path), f"{path}.dim")
-    objectives, obj_src = _objectives(_require(d, "objectives", path), dim,
-                                      f"{path}.objectives")
-    constraints, con_src = _constraints(d.get("constraints"), dim,
-                                        f"{path}.constraints")
-    box = _require(d, "box", path)
-    _check_fields(box, {"lo", "hi"}, f"{path}.box")
-    box_lo = _float_list(_require(box, "lo", f"{path}.box"), f"{path}.box.lo")
-    box_hi = _float_list(_require(box, "hi", f"{path}.box"), f"{path}.box.hi")
+    dim = _dim(d, _PROBLEM_FIELDS, path)
+    block, ppd, sources = _read_block(d, dim, dim, path)
     tolerances = _tolerances(d.get("tolerances"), f"{path}.tolerances")
-    ppd = _grid_ppd(d.get("grid"), dim, f"{path}.grid")
-    if len(box_lo) != dim or len(box_hi) != dim:
-        raise SchemaError(f"{path}.box: expected {dim} bounds in lo and hi")
-    _check_validity(objectives, box_lo, box_hi, ppd, path)
-    metadata = {"objective_sources": obj_src, "constraint_sources": con_src,
-                "points_per_dim": ppd}
+    metadata = {"sources": sources, "points_per_dim": ppd}
     if "epsilon" in d:
         metadata["epsilon"] = _float_list(d["epsilon"], f"{path}.epsilon")
     if "variables" in d:
-        metadata["variables"] = list(d["variables"])
+        variables = d["variables"]
+        if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+            raise SchemaError(f"{path}.variables: expected a list of strings")
+        metadata["variables"] = list(variables)
+    name = _name(d, path)
     try:
-        return MIOProblem(dim=dim, objectives=objectives, constraints=constraints,
-                          box_lo=box_lo, box_hi=box_hi, name=d.get("name", ""),
-                          tolerances=tolerances, metadata=metadata)
+        problem = MIOProblem(**block, name=name, tolerances=tolerances, metadata=metadata)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
+    spec = spec_for(problem)
+    metadata["points_per_dim"] = spec.points_per_dim
+    _check_validity(problem, spec, path)
+    return problem
 
 
 def game_from_dict(d: dict, path: str = "game") -> Game:
@@ -166,42 +185,22 @@ def game_from_dict(d: dict, path: str = "game") -> Game:
     raw_players = _require(d, "players", path)
     if not isinstance(raw_players, list) or len(raw_players) < 2:
         raise SchemaError(f"{path}.players: expected a list of at least 2 players")
-    dims = []
-    for i, pd in enumerate(raw_players):
-        _check_fields(pd, _PLAYER_FIELDS, f"{path}.players[{i}]")
-        dims.append(_int_field(_require(pd, "dim", f"{path}.players[{i}]"),
-                               f"{path}.players[{i}].dim"))
-    total = sum(dims)
+    paths = [f"{path}.players[{i}]" for i in range(len(raw_players))]
+    dims = [_dim(pd, _BLOCK_FIELDS, ppath) for pd, ppath in zip(raw_players, paths)]
 
-    players = []
-    sources = []
-    offset = 0
-    for i, pd in enumerate(raw_players):
-        ppath = f"{path}.players[{i}]"
-        objectives, obj_src = _objectives(_require(pd, "objectives", ppath),
-                                          total, f"{ppath}.objectives")
-        constraints, con_src = _constraints(pd.get("constraints"), total,
-                                            f"{ppath}.constraints")
-        box = _require(pd, "box", ppath)
-        _check_fields(box, {"lo", "hi"}, f"{ppath}.box")
-        box_lo = _float_list(_require(box, "lo", f"{ppath}.box"), f"{ppath}.box.lo")
-        box_hi = _float_list(_require(box, "hi", f"{ppath}.box"), f"{ppath}.box.hi")
-        ppd = None
-        if pd.get("grid") is not None:
-            ppd = _grid_ppd(pd["grid"], dims[i], f"{ppath}.grid")
+    players, sources = [], []
+    for pd, dim, ppath in zip(raw_players, dims, paths):
+        block, ppd, player_sources = _read_block(pd, dim, sum(dims), ppath)
         try:
-            players.append(Player(dim=dims[i], objectives=objectives,
-                                  constraints=constraints, box_lo=box_lo,
-                                  box_hi=box_hi, points_per_dim=ppd))
+            players.append(Player(**block, points_per_dim=ppd))
         except ValueError as exc:
             raise SchemaError(f"{ppath}: {exc}") from exc
-        sources.append({"objectives": obj_src, "constraints": con_src})
-        offset += dims[i]
+        sources.append(player_sources)
 
     tolerances = _tolerances(d.get("tolerances"), f"{path}.tolerances")
+    name = _name(d, path)
     try:
-        return Game(players=tuple(players), name=d.get("name", ""),
-                    tolerances=tolerances,
+        return Game(players=tuple(players), name=name, tolerances=tolerances,
                     metadata={"player_sources": sources})
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
@@ -221,51 +220,36 @@ def load(path: str) -> MIOProblem | Game:
     return problem_from_dict(d, path)
 
 
-def _tol_dict(t: Tolerances) -> dict:
-    return {k: getattr(t, k) for k in _TOL_FIELDS}
+def _write_block(block: MIOProblem | Player, sources: dict | None,
+                 points_per_dim: int | None) -> dict:
+    """Inverse of _read_block: the stored source strings verbatim, else
+    the expressions printed back."""
+    if sources is None:
+        sources = {"objectives": [{"lower": to_string(f.lower), "upper": to_string(f.upper)}
+                                  for f in block.objectives],
+                   "constraints": [to_string(g) for g in block.constraints]}
+    out = {"dim": block.dim, **sources,
+           "box": {"lo": list(block.box_lo), "hi": list(block.box_hi)}}
+    if points_per_dim is not None:
+        out["grid"] = {"points_per_dim": points_per_dim}
+    return out
 
 
 def serialize(model: MIOProblem | Game) -> dict:
     """Inverse of loading; stored source strings are reused verbatim."""
-    if not isinstance(model, MIOProblem):
-        sources = model.metadata.get("player_sources")
-        players = []
-        for i, pl in enumerate(model.players):
-            if sources is not None:
-                obj = sources[i]["objectives"]
-                con = sources[i]["constraints"]
-            else:
-                obj = [{"lower": to_string(f.lower), "upper": to_string(f.upper)}
-                       for f in pl.objectives]
-                con = [to_string(g) for g in pl.constraints]
-            entry = {"dim": pl.dim, "objectives": obj, "constraints": con,
-                     "box": {"lo": list(pl.box_lo), "hi": list(pl.box_hi)}}
-            if pl.points_per_dim is not None:
-                entry["grid"] = {"points_per_dim": pl.points_per_dim}
-            players.append(entry)
-        out: dict = {"players": players, "tolerances": _tol_dict(model.tolerances)}
-        if model.name:
-            out["name"] = model.name
-        return out
-
-    obj_src = model.metadata.get("objective_sources")
-    con_src = model.metadata.get("constraint_sources")
-    if obj_src is None:
-        obj_src = [{"lower": to_string(f.lower), "upper": to_string(f.upper)}
-                   for f in model.objectives]
-    if con_src is None:
-        con_src = [to_string(g) for g in model.constraints]
-    out = {"dim": model.dim, "objectives": obj_src, "constraints": con_src,
-           "box": {"lo": list(model.box_lo), "hi": list(model.box_hi)},
-           "grid": {"points_per_dim": model.metadata.get(
-               "points_per_dim", default_points_per_dim(model.dim))},
-           "tolerances": _tol_dict(model.tolerances)}
+    if isinstance(model, MIOProblem):
+        out = _write_block(model, model.metadata.get("sources"),
+                           spec_for(model).points_per_dim)
+    else:
+        sources = model.metadata.get("player_sources", [None] * model.n_players)
+        out = {"players": [_write_block(pl, src, pl.points_per_dim)
+                           for pl, src in zip(model.players, sources)]}
+    out["tolerances"] = asdict(model.tolerances)
     if model.name:
         out["name"] = model.name
-    if "epsilon" in model.metadata:
-        out["epsilon"] = list(model.metadata["epsilon"])
-    if "variables" in model.metadata:
-        out["variables"] = list(model.metadata["variables"])
+    for key in ("epsilon", "variables"):
+        if key in model.metadata:
+            out[key] = list(model.metadata[key])
     return out
 
 

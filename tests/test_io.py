@@ -356,3 +356,117 @@ def test_cli_seqkkt(abs_problem_file):
     eps = ",".join(str(1.0 / i ** 2) for i in range(1, 4))
     assert main(["seqkkt", "--problem", abs_problem_file, "--point", "0",
                  "--xs", xs, "--eps-seq", eps]) == 0
+
+
+# ---------------------------------------------------------------------------
+# One schema: a problem and a game player are read by the same block reader
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("problem", "variables", 5),
+    ("problem", "variables", "u"),
+    ("problem", "variables", ["u", 1]),
+    ("problem", "name", ["x"]),
+    ("game", "name", {"a": 1}),
+])
+def test_name_and_variables_have_one_type(tmp_path, kind, field, value):
+    # variables=5 was a TypeError traceback (exit 1); the others loaded and saved
+    d = copy.deepcopy(ABS_PROBLEM_JSON if kind == "problem" else QUAD_GAME_JSON)
+    d[field] = value
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(d))
+    expected = "a list of strings" if field == "variables" else "a string"
+    with pytest.raises(SchemaError) as exc_info:
+        load(str(path))
+    # the path prefix is added once
+    assert str(exc_info.value) == f"{path}.{field}: expected {expected}"
+
+
+def test_variables_of_the_wrong_type_exit_3(tmp_path, capsys):
+    d = dict(copy.deepcopy(ABS_PROBLEM_JSON), variables=5)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(d))
+    assert main(["verify", "--problem", str(path), "--point", "0", "--concept", "weak-min"]) == 3
+    assert capsys.readouterr().err == f"error: {path}.variables: expected a list of strings\n"
+
+
+def test_variables_and_name_round_trip():
+    d = dict(copy.deepcopy(ABS_PROBLEM_JSON), variables=["x"])
+    prob = problem_from_dict(d)
+    assert prob.metadata["variables"] == ["x"]
+    assert serialize(prob)["variables"] == ["x"]
+    assert serialize(prob)["name"] == "abs-pair"
+
+
+@pytest.mark.parametrize("block, field, message", [
+    ({"box": {"lo": [1], "hi": [0]}}, "box", "box must have lo < hi, got [1.0, 0.0]"),
+    ({"box": {"lo": [0], "hi": [0]}}, "box", "box must have lo < hi, got [0.0, 0.0]"),
+    ({"grid": {"points_per_dim": 1}}, "grid.points_per_dim", "expected at least 2, got 1"),
+    ({"grid": {"points_per_dim": 0}}, "grid.points_per_dim", "expected at least 2, got 0"),
+])
+@pytest.mark.parametrize("kind", ["problem", "player"])
+def test_bad_block_is_rejected_at_load_for_both_kinds(tmp_path, kind, block, field, message):
+    # a player's flipped box loaded and made every profile infeasible, and its
+    # one-point grid failed at the first query; a problem's grid failed with
+    # a GridError that named no field
+    if kind == "problem":
+        d = copy.deepcopy(ABS_PROBLEM_JSON)
+        d.update(block)
+        where = "m.json"
+    else:
+        d = copy.deepcopy(QUAD_GAME_JSON)
+        d["players"][1].update(block)
+        where = "m.json.players[1]"
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(SchemaError) as exc_info:
+        load(str(path))
+    assert str(exc_info.value) == f"{tmp_path / where}.{field}: {message}"
+
+
+# ---------------------------------------------------------------------------
+# One grid rule: --grid, else the file's grid, else the default
+# ---------------------------------------------------------------------------
+
+def test_spec_for_reads_the_files_grid(tmp_path):
+    from miopt.grid import GridError, spec_for
+
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(dict(ABS_PROBLEM_JSON, grid={"points_per_dim": 51})))
+    prob = load(str(path))
+    assert spec_for(prob).points_per_dim == 51
+    assert spec_for(prob, 41).points_per_dim == 41
+    with pytest.raises(GridError):
+        spec_for(prob, 0)
+    # and without a grid in the file, the default for the dimension
+    del_grid = {k: v for k, v in ABS_PROBLEM_JSON.items() if k != "grid"}
+    assert spec_for(problem_from_dict(del_grid)).points_per_dim == 401
+    assert serialize(prob)["grid"] == {"points_per_dim": 51}
+
+
+@pytest.mark.parametrize("argv, ppd", [([], 51), (["--grid", "41"], 41)])
+def test_cli_grid_is_the_flag_else_the_files(tmp_path, argv, ppd):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(dict(ABS_PROBLEM_JSON, grid={"points_per_dim": 51})))
+    report_path = tmp_path / "v.json"
+    assert main(["verify", "--problem", str(path), "--point", "0", "--concept", "weak-min",
+                 "--json", str(report_path)] + argv) == 0
+    assert json.loads(report_path.read_text())["config"]["points_per_dim"] == ppd
+
+
+@pytest.mark.parametrize("workload", ["scan", "certify", "game", "cli"])
+def test_benchmark_problem_files_carry_the_default_grid(workload):
+    # spec_for reads a file's grid, so a generated file with any other grid
+    # would change what the benchmark measures
+    from miopt.grid import default_points_per_dim, spec_for
+    from perfbench import gen
+
+    for seed in (1, 2, 3):
+        for variant in (0, 1):
+            docs = getattr(gen, f"{workload}_inputs")(seed, variant)["docs"]
+            for doc in docs.values():
+                if "players" in doc:
+                    continue
+                ppd = default_points_per_dim(doc["dim"])
+                assert doc["grid"] == {"points_per_dim": ppd}
+                assert spec_for(problem_from_dict(doc)).points_per_dim == ppd
