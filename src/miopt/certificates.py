@@ -1,22 +1,22 @@
 """KKT-type certificate machinery on one exact solver.
 
-Every convex decision here asks for the point of a polytope or
-polyhedral cone nearest the origin, and one method answers them all:
-Lawson and Hanson's NNLS (Solving Least Squares Problems, 1974, ch. 23),
-which ends after finitely many least-squares solves, through their
-reduction of a least-distance program (LDP) to one NNLS.
+Every convex decision here is a least-distance program (LDP), and one
+method answers them all: Lawson and Hanson's NNLS (Solving Least Squares
+Problems, 1974, ch. 23), which ends after finitely many least-squares
+solves, through their reduction of an LDP to one NNLS.
 
-- KKT-type conditions and BCQ: the distance from 0 to C =
-  co(objective generators) + cone(constraint generators).  A ball term
-  r*B is never built: 0 in C + r*B iff dist(0, C) <= r.
+- KKT-type conditions and BCQ: whether some lam on the simplex and mu >= 0
+  give ||sum lam_k x_k + sum mu_j z_j|| <= lam.b (b_k: objective k's
+  radius), i.e. whether min ||z|| s.t. <g, z> >= b_k on objective k's
+  generators g and <h, z> >= 0 on constraint generators h is >= 1.
 - Generalized convexity: per sample, whether {Av <= b, ||v|| <= r} is
   feasible, i.e. whether the LDP min ||v|| s.t. Av <= b has ||v|| <= r.
 
 Every verdict is checked apart from the solver.  A ``holds`` comes with
 the multipliers or the direction that show it.  A ``fails`` comes with a
-witness: for KKT, the nearest point y separates 0 from C (<h, y> >= 0 on
-every cone generator, up to rounding, and min_g <g, y>/||y|| above the
-threshold); for generalized convexity, a Farkas vector y >= 0 with
+witness: for KKT, the unit vector y along the residual, with <g, y> > b_k
+on objective k's generators and <h, y> >= 0 on the cone's, up to
+rounding; for generalized convexity, a Farkas vector y >= 0 with
 b.y + r ||A^T y|| < 0.  When neither check passes, the verdict is
 ``inconclusive``.
 """
@@ -51,9 +51,13 @@ def nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, int]:
     column that enters the passive set is the one most correlated with
     the residual, if positively; it is refused when its least-squares
     coefficient is not positive.  Every accepted step lowers the
-    residual, so no passive set repeats and the loop ends; a step that
-    fails to lower it in floating point ends it too.  One QR refit on the
-    unscaled columns of the final support (not counted) ends the solve."""
+    residual, so no passive set repeats and the loop ends; in floating
+    point up to n steps in a row may leave it equal instead (a gain below
+    its rounding that later steps can realize).  A^T (f - A x) rounds
+    relative to ||f||: if its best entry is within that rounding of 0 and
+    ||r|| above it, it is recomputed once from a basis of r's subspace,
+    which rounds relative to ||r||.  A QR refit on the unscaled columns
+    of the final support (not counted) ends the solve."""
     n = E.shape[1]
     norms = np.sqrt((E * E).sum(axis=0))
     norms[norms == 0.0] = 1.0
@@ -61,14 +65,19 @@ def nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, int]:
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
     best = float(f @ f)
-    tol = 10.0 * max(A.shape) * EPS * math.sqrt(best)
+    rel = 10.0 * max(A.shape) * EPS
+    tol = floor = rel * math.sqrt(best)
     dual = A.T @ f
-    solves = 0
+    solves, recomputed, ties = 0, False, 0
     while True:
         dual[passive] = -np.inf
         t = int(dual.argmax())
         if not dual[t] > tol:
-            break
+            if recomputed or not (dual[t] > -tol and passive.any() and math.sqrt(best) > floor):
+                break
+            q = np.linalg.qr(A[:, passive], mode="complete")[0][:, int(passive.sum()):]
+            dual, tol, recomputed = A.T @ (q @ (q.T @ f)), rel * math.sqrt(best), True
+            continue
         trial = passive.copy()
         trial[t] = True
         z = _least_squares(A, f, trial)
@@ -89,9 +98,11 @@ def nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, int]:
             solves += 1
         r = f - A @ z
         rr = float(r @ r)
-        if not rr < best:
+        ties = ties + 1 if rr == best else 0
+        if not rr <= best or ties > n:
             break
         x, passive, best, dual = z, trial, rr, A.T @ r
+        tol, recomputed = floor, False
     return _refit(E, f, x / norms), solves
 
 
@@ -128,24 +139,23 @@ class MinNormResult:
     obj_witnesses: list           # one point per objective polytope
     con_witnesses: list           # one point per constraint polytope
     iterations: int               # least-squares solves of the NNLS
-    gap: float                    # residual minus the lower bound that y certifies
     mu_capped: bool
+    point: np.ndarray             # sum_k lam_k x_k + sum_j mu_j z_j, of norm residual
 
 
 def min_norm_over_multipliers(obj_polys: Sequence[Polytope], con_polys: Sequence[Polytope],
-                              mu_max: float, tol: float = 1e-8) -> MinNormResult:
-    """The point y = sum_k lam_k x_k + sum_j mu_j z_j nearest the origin,
-    with lam on the simplex, x_k in obj_polys[k], z_j in con_polys[j] and
-    0 <= mu_j <= mu_max (mu_max = inf for the cone).
+                              mu_max: float, b: Sequence[float] | None = None) -> MinNormResult:
+    """Multipliers of y = sum_k lam_k x_k + sum_j mu_j z_j, with lam on the
+    simplex, x_k in obj_polys[k], z_j in con_polys[j] and 0 <= mu_j <=
+    mu_max (mu_max = inf for the cone), that meet ||y|| <= lam.b if any
+    do; with equal b (the default), y is the point nearest the origin.
 
-    It solves the least-distance program min ||z|| s.t. <g, z> >= 1 on
-    the hull generators g and <h, z> >= 0 on the cone generators h as one
-    NNLS.  A finite cap makes each constraint factor the polytope
-    mu_max * co({0} | Q_j): the hull generators are then every sum of an
-    objective generator and one vertex per factor, and there is no cone.
-    ``gap`` is ||y|| minus the lower bound min_g <g, y>/||y|| on the
-    distance, which y certifies when <h, y> >= -tol ||h|| ||y|| on every
-    cone generator h (with no bound, the gap is ||y||)."""
+    It solves the LDP min ||z|| s.t. <g, z> >= b_k on the hull generators
+    g of objective k and <h, z> >= 0 on the cone generators h as one NNLS
+    with b / max(b) in its last row.  A finite cap makes each constraint
+    factor the polytope mu_max * co({0} | Q_j): the hull generators are
+    then every sum of an objective generator and one vertex per factor,
+    and there is no cone."""
     if not obj_polys:
         raise CertificateError("need at least one objective polytope")
     if mu_max <= 0:
@@ -158,18 +168,19 @@ def min_norm_over_multipliers(obj_polys: Sequence[Polytope], con_polys: Sequence
     obj = [np.array(p.generators, dtype=float) for p in obj_polys]
     con = [np.array(p.generators, dtype=float) for p in con_polys]
     gens = np.vstack(obj)
+    rhs = np.repeat(np.ones(len(obj)) if b is None else b, [len(q) for q in obj])
+    rhs = rhs / rhs.max() if rhs.max() > 0.0 else np.ones(len(gens))
     if math.isinf(mu_max):
         hull, cone = gens, np.vstack(con) if con else np.zeros((0, dim))
     else:
         # one hull generator per choice of objective generator and vertex per factor
         picks = np.array(list(itertools.product(range(len(gens)),
                                                 *(range(len(q) + 1) for q in con))))
-        hull = gens[picks[:, 0]]
+        hull, rhs = gens[picks[:, 0]], rhs[picks[:, 0]]
         for j, q in enumerate(con):
             hull = hull + np.vstack([np.zeros(dim), mu_max * q])[picks[:, j + 1]]
         cone = np.zeros((0, dim))
-    e = np.vstack([np.hstack([hull.T, cone.T]),
-                   np.concatenate([np.ones(len(hull)), np.zeros(len(cone))])])
+    e = np.vstack([np.hstack([hull.T, cone.T]), np.concatenate([rhs, np.zeros(len(cone))])])
     u, iters = nnls(e, np.eye(dim + 1)[dim])
     u /= u[:len(hull)].sum()
     if math.isinf(mu_max):
@@ -183,16 +194,10 @@ def min_norm_over_multipliers(obj_polys: Sequence[Polytope], con_polys: Sequence
     mu, con_witnesses = _split(mu_g, con)
     combo = sum(lk * w for lk, w in zip(lam, obj_witnesses))
     combo = combo + sum(mj * z for mj, z in zip(mu, con_witnesses))
-    residual = float(np.linalg.norm(combo))
-    gap = 0.0
-    if residual > 0.0:
-        y = combo / residual
-        separated = (cone @ y >= -tol * np.sqrt((cone * cone).sum(axis=1))).all()
-        gap = residual - max(float((hull @ y).min()), 0.0) if separated else residual
-    return MinNormResult(residual=residual, lam=lam, mu=mu,
+    return MinNormResult(residual=float(np.linalg.norm(combo)), lam=lam, mu=mu,
                          obj_witnesses=obj_witnesses, con_witnesses=con_witnesses,
-                         iterations=iters, gap=gap,
-                         mu_capped=bool((mu > mu_max * (1.0 - 1e-9)).any()))
+                         iterations=iters, mu_capped=bool((mu > mu_max * (1.0 - 1e-9)).any()),
+                         point=combo)
 
 
 def _split(weights: np.ndarray, parts: list) -> tuple[np.ndarray, list]:
@@ -227,7 +232,6 @@ class CertificateReport:
     con_witnesses: dict           # active index -> witness point
     exact: bool
     iterations: int
-    gap: float
     threshold: float
     mu_capped: bool
     tolerances: dict = field(default_factory=dict)
@@ -253,7 +257,7 @@ def _report(problem: MIOProblem, res: MinNormResult, con_indices, verdict: str, 
     return CertificateReport(
         verdict=verdict, residual=res.residual, lam=res.lam, mu=mu,
         obj_witnesses=res.obj_witnesses, con_witnesses=dict(zip(con_indices, res.con_witnesses)),
-        exact=exact, iterations=res.iterations, gap=res.gap, threshold=threshold,
+        exact=exact, iterations=res.iterations, threshold=threshold,
         mu_capped=res.mu_capped, tolerances=tolerances)
 
 
@@ -264,11 +268,11 @@ def kkt_check(problem: MIOProblem, u_bar, radius: float = 0.0,
     supported on the active set only) and no bound on mu
     (``Tolerances.mu_max`` is only reported).
 
-    With ``cor41_eps`` the radius is multiplier-dependent: the residual
-    must come in under sum(lambda_k * eps_k) for the recovered lambda.
-    ``fails`` needs exact subdifferentials and a nearest point whose
-    separation bound (residual - gap) clears the threshold; otherwise a
-    residual above the threshold is ``inconclusive``.
+    The radius r = radius + lambda.eps (eps = ``cor41_eps``, else 0)
+    depends on the multipliers; one LDP with b_k = radius + eps_k +
+    tau_solver picks them.  ``holds``: residual <= threshold = radius +
+    lambda.eps + tau_solver at that lambda; ``fails``: exact
+    subdifferentials and ``_separates``; else ``inconclusive``.
     """
     tol = problem.tolerances.tau_solver
     if not radius >= 0:
@@ -278,24 +282,29 @@ def kkt_check(problem: MIOProblem, u_bar, radius: float = 0.0,
 
     act = active_set(problem, u_bar)
     obj_polys, con_polys, exact = _subdiff_polys(problem, u_bar, act)
-    res = min_norm_over_multipliers(obj_polys, con_polys, mu_max=math.inf, tol=tol)
-
-    allowance = radius
-    if cor41_eps is not None:
-        earr = as_epsilon(cor41_eps, problem.n_objectives)
-        allowance = radius + float(np.dot(res.lam, earr))
-    threshold = allowance + tol
+    earr = as_epsilon(0.0 if cor41_eps is None else cor41_eps, problem.n_objectives)
+    b = radius + earr + tol
+    res = min_norm_over_multipliers(obj_polys, con_polys, mu_max=math.inf, b=b)
+    threshold = radius + float(np.dot(res.lam, earr)) + tol
 
     if res.residual <= threshold:
         verdict = "holds"
-    elif exact and res.residual - res.gap > threshold:
+    elif exact and _separates(res.point / (res.residual or 1.0), obj_polys, con_polys, b, tol):
         verdict = "fails"
     else:
-        # only a superset was refuted, or the nearest point does not
-        # separate 0 from the set by more than the threshold
+        # only a superset was refuted, or the residual's direction separates nothing
         verdict = "inconclusive"
     return _report(problem, res, act, verdict, exact, threshold,
                    {"tau_solver": tol, "mu_max": problem.tolerances.mu_max, "radius": radius})
+
+
+def _separates(y, obj_polys, con_polys, b, tol: float) -> bool:
+    """<g, y> > b_k on objective k's generators and <h, y> >= -tol ||h|| on the
+    cone's: for ||y|| <= 1, every combination y' has ||y'|| >= <y', y> > lam.b."""
+    gens = np.vstack([p.generators for p in obj_polys])
+    cone = np.array([h for p in con_polys for h in p.generators]).reshape(-1, len(y))
+    return bool((gens @ y > np.repeat(b, [len(p.generators) for p in obj_polys])).all()
+                and (cone @ y >= -tol * np.linalg.norm(cone, axis=1)).all())
 
 
 @dataclass
@@ -349,8 +358,7 @@ def eps_kkt_thm_4_1(problem: MIOProblem, u_bar, eps, delta: float,
         raise PremiseError("u_bar is not weak eps-minimal on the grid")
     ball = restrict_to_ball(pts, u_bar, delta)
     for z in ball:
-        bcq = bcq_check(problem, z)
-        if not bcq.holds:
+        if not bcq_check(problem, z).holds:
             raise PremiseError(f"BCQ fails at grid point {z.tolist()} inside the ball")
     hit = _first_kkt_point(problem, ball, float(np.max(earr)) / delta)
     if hit is None:
@@ -511,37 +519,35 @@ def modified_eps_kkt(problem: MIOProblem, x0, epsilon: float, spec: GridSpec) ->
     if not feasible(problem, x0):
         raise CertificateError("x0 must be feasible")
     x0_arr = np.asarray(x0, dtype=float)
+    g_at_x0 = np.array([eval_expr(g, x0_arr) for g in problem.constraints])
 
     if epsilon == 0.0:
         report = kkt_check(problem, x0_arr)
-        comp = float(np.dot(report.mu, [eval_expr(g, x0_arr) for g in problem.constraints]))
         if report.holds:
-            return ModKKTOutcome("holds", x0_arr, report, comp)
+            return ModKKTOutcome("holds", x0_arr, report, float(np.dot(report.mu, g_at_x0)))
         return ModKKTOutcome("not-found-at-resolution", None, report, None)
 
     root = float(np.sqrt(epsilon))
-    g_at_x0 = np.array([eval_expr(g, x0_arr) for g in problem.constraints])
     candidates = restrict_to_ball(feasible_grid(problem, spec), x0_arr, root)
     all_j = tuple(range(problem.n_constraints))
     near_active = tuple(j for j in all_j if g_at_x0[j] >= -problem.tolerances.tau_act)
-    scanned = 0
+    # mu may sit on every constraint; after a sign miss at x0, retry on those
+    # that cannot cause one (fewer constraints never lower the residual)
+    subsets = (all_j,) if near_active == all_j else (all_j, near_active)
     for x in candidates:
-        scanned += 1
-        # the definition allows multipliers on every constraint; if the
-        # unrestricted solve breaks the sign condition at x0, retry with
-        # mu confined to constraints that cannot break it
-        for subset in (all_j, near_active):
-            obj_polys, con_polys, exact = _subdiff_polys(problem, x, subset)
-            res = min_norm_over_multipliers(obj_polys, con_polys, mu_max=math.inf, tol=tol)
+        obj_polys, con_all, _ = _subdiff_polys(problem, x, all_j)
+        for subset in subsets:
+            con_polys = [con_all[j] for j in subset]
+            res = min_norm_over_multipliers(obj_polys, con_polys, mu_max=math.inf)
             if res.residual > root + tol:
-                continue
+                break
+            exact = all(p.exact for p in obj_polys) and all(p.exact for p in con_polys)
             report = _report(problem, res, subset, "holds", exact, root + tol,
                              {"tau_solver": tol, "mu_max": problem.tolerances.mu_max,
                               "epsilon": epsilon})
             comp = float(np.dot(report.mu, g_at_x0))
-            if comp < -epsilon - tol:
-                continue
-            return ModKKTOutcome("holds", x, report, comp)
+            if comp >= -epsilon - tol:
+                return ModKKTOutcome("holds", x, report, comp)
     return ModKKTOutcome("not-found-at-resolution", None, None, None)
 
 
@@ -590,9 +596,8 @@ def approx_kkt_sequence(problem: MIOProblem, u_bar, xs: Sequence, eps_seq: Seque
     if point_dominated(problem, value_table(problem, local), u_arr):
         raise PremiseError("u_bar is not locally weak minimal on the grid ball used")
 
-    inflate_radius = 0.0
-    if inflate is not None:
-        inflate_radius = float(np.max(as_epsilon(inflate, problem.n_objectives)))
+    inflate_radius = 0.0 if inflate is None else \
+        float(np.max(as_epsilon(inflate, problem.n_objectives)))
 
     # the tail points' centres and widths, and u_bar's in the last column
     seq = value_table(problem, xs_arr + [u_arr])

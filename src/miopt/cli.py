@@ -101,8 +101,7 @@ def _report_line(report: certificates.CertificateReport) -> dict:
             "threshold": report.threshold, "lambda": report.lam,
             "mu": report.mu, "objective_witnesses": report.obj_witnesses,
             "constraint_witnesses": report.con_witnesses, "exact": report.exact,
-            "iterations": report.iterations, "gap": report.gap,
-            "mu_capped": report.mu_capped}
+            "iterations": report.iterations, "mu_capped": report.mu_capped}
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +132,8 @@ def _cmd_verify(args, problem, spec):
 
 
 def _cmd_exist(args, problem, spec):
-    earr = as_epsilon(_parse_vector(args.eps), problem.n_objectives)
     start = _parse_point(args.start, problem.dim, "start") if args.start else None
-    point, trace = evp.descent_eps_minimal(problem, earr, spec, start)
+    point, trace = evp.descent_eps_minimal(problem, _parse_vector(args.eps), spec, start)
     return "holds", {"point": point, "start": trace.iterates[0] if start is None else start,
                      "iterations": len(trace.iterates) - 1,
                      "merits": trace.merits}
@@ -149,8 +147,7 @@ def _cmd_evp(args, problem, spec):
             raise UsageError("--vector mode takes a single scalar --eps")
         point, cert = evp.evp_descent_vector(problem, float(earr[0]), spec, x0)
     else:
-        earr = as_epsilon(_parse_vector(args.eps), problem.n_objectives)
-        point, cert = evp.evp_descent(problem, earr, spec, x0)
+        point, cert = evp.evp_descent(problem, _parse_vector(args.eps), spec, x0)
     verdict = "holds" if cert.all_hold else "fails"
     return verdict, {"point": point, "x0": cert.trace.iterates[0] if x0 is None else x0,
                      "a_holds": cert.a_holds, "b_value": cert.b_value,
@@ -159,8 +156,7 @@ def _cmd_evp(args, problem, spec):
 
 
 def _cmd_quasi(args, problem, spec):
-    earr = as_epsilon(_parse_vector(args.eps), problem.n_objectives)
-    rep = evp.quasi_existence(problem, earr, spec)
+    rep = evp.quasi_existence(problem, _parse_vector(args.eps), spec)
     ok = rep.qm_verified and rep.ball_check is not False
     verdict = "holds" if ok else "fails"
     return verdict, {"point": rep.point, "qm_verified": rep.qm_verified,
@@ -172,8 +168,7 @@ def _cmd_quasi(args, problem, spec):
 
 
 def _cmd_thm33(args, problem, spec):
-    earr = as_epsilon(_parse_vector(args.eps), problem.n_objectives)
-    verdict_obj = grid_mod.check_thm_3_3(problem, args.point, earr, spec)
+    verdict_obj = grid_mod.check_thm_3_3(problem, args.point, _parse_vector(args.eps), spec)
     if not verdict_obj.hypothesis_holds:
         return "fails", {"hypothesis_holds": False, "witness": verdict_obj.witness}
     verdict = "holds" if verdict_obj.conclusion_verified else "fails"
@@ -182,17 +177,14 @@ def _cmd_thm33(args, problem, spec):
 
 
 def _cmd_kkt(args, problem, spec):
-    cor41 = None
-    if args.cor41_eps is not None:
-        cor41 = as_epsilon(_parse_vector(args.cor41_eps, "cor41-eps"), problem.n_objectives)
-    report = certificates.kkt_check(problem, args.point, radius=args.radius,
-                                    cor41_eps=cor41)
+    cor41 = None if args.cor41_eps is None else _parse_vector(args.cor41_eps, "cor41-eps")
+    report = certificates.kkt_check(problem, args.point, radius=args.radius, cor41_eps=cor41)
     return report.verdict, {**_report_line(report), "point": args.point}
 
 
 def _cmd_epskkt(args, problem, spec):
-    earr = as_epsilon(_parse_vector(args.eps), problem.n_objectives)
-    outcome = certificates.eps_kkt_thm_4_1(problem, args.point, earr, args.delta, spec)
+    outcome = certificates.eps_kkt_thm_4_1(problem, args.point, _parse_vector(args.eps),
+                                           args.delta, spec)
     payload = {"points_scanned": outcome.points_scanned}
     if outcome.point is not None:
         payload["x_delta"] = outcome.point
@@ -216,8 +208,7 @@ def _cmd_genconvex(args, problem, spec):
 
 
 def _cmd_sufficiency(args, problem, spec):
-    earr = as_epsilon(_parse_vector(args.eps), problem.n_objectives)
-    rep = certificates.sufficiency_thm_4_3(problem, args.point, earr, spec)
+    rep = certificates.sufficiency_thm_4_3(problem, args.point, _parse_vector(args.eps), spec)
     payload = {"qm_confirmed": rep.qm_confirmed}
     if rep.kkt is not None:
         payload["kkt"] = _report_line(rep.kkt)
@@ -243,9 +234,7 @@ def _cmd_seqkkt(args, problem, spec):
     if not xs:
         raise UsageError("--xs must list at least one point")
     eps_seq = _parse_vector(args.eps_seq, "eps-seq")
-    inflate = None
-    if args.inflate is not None:
-        inflate = as_epsilon(_parse_vector(args.inflate, "inflate"), problem.n_objectives)
+    inflate = None if args.inflate is None else _parse_vector(args.inflate, "inflate")
     rep = certificates.approx_kkt_sequence(problem, args.point, xs, eps_seq, spec,
                                            inflate=inflate)
     if rep.all_ok:
@@ -285,8 +274,7 @@ def _cmd_game_verify(args, game, spec):
 def _cmd_game_kkt(args, game, spec):
     eps = _parse_vector(args.eps)
     outcomes = game_mod.game_kkt(game, args.point, eps, mode=args.mode, delta=args.delta)
-    per_player = []
-    verdicts = []
+    per_player, verdicts = [], []
     for out in outcomes:
         if out.report is not None:
             per_player.append({"player": out.player, **_report_line(out.report)})
@@ -365,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = cmd("kkt", _cmd_kkt, "multiplier certificate at a point")
     p.add_argument("--radius", type=float, default=0.0)
     p.add_argument("--cor41-eps", dest="cor41_eps", default=None,
-                   help="accept residual up to sum(lambda_k * eps_k)")
+                   help="accept a residual up to radius + sum(lambda_k * eps_k) "
+                        "for some lambda; the report carries that lambda")
 
     p = cmd("epskkt", _cmd_epskkt, "search a delta-ball for an approximate KKT point")
     p.add_argument("--eps", required=True)

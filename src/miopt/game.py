@@ -92,9 +92,7 @@ class Game:
 
 def player_spec(game: Game, i: int) -> GridSpec:
     pl = game.players[i]
-    if pl.points_per_dim is not None:
-        return GridSpec(pl.points_per_dim)
-    return GridSpec(default_points_per_dim(pl.dim))
+    return GridSpec(pl.points_per_dim or default_points_per_dim(pl.dim))
 
 
 def fix_opponents(game: Game, i: int, u_bar: Sequence[float]) -> MIOProblem:

@@ -47,16 +47,13 @@ class GridError(ValueError):
     pass
 
 
+_DEFAULT_POINTS_PER_DIM = {1: 401, 2: 101, 3: 21, 4: 11}
+
+
 def default_points_per_dim(n: int) -> int:
-    if n == 1:
-        return 401
-    if n == 2:
-        return 101
-    if n == 3:
-        return 21
-    if n == 4:
-        return 11
-    raise GridError(f"brute-force grids are dishonest beyond dimension {MAX_DIM} (got {n})")
+    if n not in _DEFAULT_POINTS_PER_DIM:
+        raise GridError(f"brute-force grids are dishonest beyond dimension {MAX_DIM} (got {n})")
+    return _DEFAULT_POINTS_PER_DIM[n]
 
 
 @dataclass(frozen=True)
@@ -79,15 +76,18 @@ def spec_for(problem: MIOProblem, points_per_dim: int | None = None) -> GridSpec
     return GridSpec(points_per_dim)
 
 
+def check_grid(n: int, spec: GridSpec) -> None:
+    """GridError unless the n-dimensional grid of spec has n <= MAX_DIM and <= spec.cap points."""
+    if n > MAX_DIM:
+        raise GridError(f"brute-force grids are dishonest beyond dimension {MAX_DIM} (got {n})")
+    if spec.points_per_dim ** n > spec.cap:
+        raise GridError(f"grid of {spec.points_per_dim ** n} points exceeds cap {spec.cap}")
+
+
 def grid_points(box_lo: Sequence[float], box_hi: Sequence[float], spec: GridSpec) -> np.ndarray:
     """The (N, n) uniform inclusive grid over the box, in deterministic
     lexicographic order (the last axis varies fastest)."""
-    n = len(box_lo)
-    if n > MAX_DIM:
-        raise GridError(f"brute-force grids are dishonest beyond dimension {MAX_DIM} (got {n})")
-    total = spec.points_per_dim ** n
-    if total > spec.cap:
-        raise GridError(f"grid of {total} points exceeds cap {spec.cap}")
+    check_grid(len(box_lo), spec)
     t = np.arange(spec.points_per_dim, dtype=float)
     axes = [lo + t * (hi - lo) / (spec.points_per_dim - 1) for lo, hi in zip(box_lo, box_hi)]
     # "ij" indexing raveled in C order varies the last axis fastest

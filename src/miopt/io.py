@@ -16,7 +16,8 @@ from dataclasses import asdict, fields
 from typing import TYPE_CHECKING, Any
 
 from .expr import ExprError, IVFunction, parse_expr, to_string
-from .grid import GridSpec, IntervalError, endpoint_values, grid_points, spec_for
+from .grid import (MAX_DIM, GridError, GridSpec, IntervalError, check_grid, endpoint_values,
+                   grid_points, spec_for)
 from .problem import DEFAULT_TOLERANCES, MIOProblem, Tolerances
 
 if TYPE_CHECKING:
@@ -94,7 +95,10 @@ def _tolerances(d: dict | None, path: str) -> Tolerances:
 
 def _dim(d: dict, allowed: set[str], path: str) -> int:
     _check_fields(d, allowed, path)
-    return _int_field(_require(d, "dim", path), f"{path}.dim")
+    dim = _int_field(_require(d, "dim", path), f"{path}.dim")
+    if not 1 <= dim <= MAX_DIM:
+        raise SchemaError(f"{path}.dim: grids cover dimensions 1 to {MAX_DIM}, got {dim}")
+    return dim
 
 
 def _read_block(d: dict, dim: int, n_vars: int, path: str) -> tuple[dict, int | None, dict]:
@@ -137,6 +141,10 @@ def _read_block(d: dict, dim: int, n_vars: int, path: str) -> tuple[dict, int | 
                          f"{path}.grid.points_per_dim")
         if ppd < 2:
             raise SchemaError(f"{path}.grid.points_per_dim: expected at least 2, got {ppd}")
+        try:
+            check_grid(dim, GridSpec(ppd))
+        except GridError as exc:
+            raise SchemaError(f"{path}.grid.points_per_dim: {exc}") from exc
     block = {"dim": dim, "objectives": tuple(objectives), "constraints": constraints,
              "box_lo": box_lo, "box_hi": box_hi}
     return block, ppd, {"objectives": obj_src, "constraints": list(con_src)}

@@ -280,7 +280,7 @@ def test_criterion_9_solver_cross_check(capsys):
             con = [Polytope(1, tuple((float(g),) for g in
                                      rng.uniform(-3, 3, size=rng.integers(1, 4))),
                             True) for _ in range(p)]
-            res = min_norm_over_multipliers(obj, con, mu_max=cap, tol=1e-12)
+            res = min_norm_over_multipliers(obj, con, mu_max=cap)
             # endpoint enumeration: the achievable set is one interval
             lo = min(g[0] for q in obj for g in q.generators)
             hi = max(g[0] for q in obj for g in q.generators)

@@ -1,5 +1,4 @@
 import inspect
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -124,6 +123,31 @@ def test_nnls_matches_scipy_on_columns_of_very_different_scales(last):
     _assert_nnls_matches_scipy(e, np.array([-1.0, -1.0]))
 
 
+@pytest.mark.parametrize("e, f", [
+    # a draw of the test above: column 4 alone leaves a residual of 1.6e-9,
+    # and its correlation with the nearly parallel column 5 rounds to 0 when
+    # computed from f - E x; scipy reaches 2e-25 through column 5
+    ([[0.0, -0.81005859375, 0.1761474609375, 0.28955078125, 4.078125, 1.5791015625],
+      [0.17041015625, 0.0, 3.86328125, 1.900390625, 5.960464477539063e-08, 0.0]],
+     [0.1099853515625, 0.0]),
+    # column 4 lowers ||r||^2 from 25 + 4e-15 to 25, so the bound relative
+    # to ||r|| equals the one relative to ||f||: a solver that told the two
+    # bounds apart by value recomputed the correlations forever
+    ([[5.960464477539063e-08, 3.88671875, 2.701171875, 0.0, 0.0, 1.4912109375],
+      [3.841796875, 5.0, -4.08203125, -4.53125, 5.960464477539063e-08, 0.8525390625]],
+     [-5.0, 5.960464477539063e-08]),
+    # the least-distance program of a KKT check whose second objective has
+    # radius tau_solver alone: adding column 3 to column 1 gains 2e-17 in
+    # ||r||^2, below its rounding, and only the steps after it reach the
+    # optimum, 2.7e-9 lower in ||r||
+    ([[0.0, 1.0, 0.0, 1.0], [-2.0, -1.0, -1.0, 1.0],
+      [1.0, 1.0, 1e-8 / (1 + 1e-8), 1e-8 / (1 + 1e-8)]],
+     [0.0, 0.0, 1.0]),
+])
+def test_nnls_matches_scipy_where_rounding_hides_the_optimum(e, f):
+    _assert_nnls_matches_scipy(np.array(e), np.array(f))
+
+
 def _assert_nnls_matches_scipy(e, f):
     x, _ = nnls(e, f)
     _, ref_norm = scipy_nnls(e, f)
@@ -148,24 +172,22 @@ def test_min_norm_residual_matches_scipy_nnls(data):
     ref = float(np.linalg.norm(e[:dim] @ u)) / float(np.sum(u[:n_obj]))
     assert res.residual == pytest.approx(ref, abs=1e-9)
     assert res.lam.sum() == pytest.approx(1.0, abs=1e-12) and np.all(res.mu >= 0.0)
-    _assert_separation_bound(res, obj, con)
+    _assert_nearest_point(res, obj, con)
 
 
-def _assert_separation_bound(res, obj, con, tol=1e-8):
-    """residual - gap is a lower bound on the distance that the nearest
-    point y shows by itself: <h, y> >= -tol ||h|| ||y|| on every cone
-    generator h and <g, y> >= (residual - gap) ||y|| on every objective
-    generator g."""
+def _assert_nearest_point(res, obj, con, tol=1e-9):
+    """The combination y of res's multipliers and witnesses is the point of
+    co(obj) + cone(con) nearest the origin: <g, y> >= ||y||^2 on every
+    objective generator g and <h, y> >= 0 on every cone generator h, up
+    to rounding."""
     y = sum(lk * np.asarray(w) for lk, w in zip(res.lam, res.obj_witnesses))
     y = y + sum(mj * np.asarray(z) for mj, z in zip(res.mu, res.con_witnesses))
     ny = float(np.linalg.norm(y))
     assert ny == pytest.approx(res.residual, abs=1e-9)
-    lower = res.residual - res.gap
-    if lower > 0.0:
-        for h in (g for p in con for g in p.generators):
-            assert np.dot(h, y) >= -tol * np.linalg.norm(h) * ny
-        for g in (g for p in obj for g in p.generators):
-            assert np.dot(g, y) >= lower * ny - 1e-9
+    for g in (g for p in obj for g in p.generators):
+        assert np.dot(g, y) >= ny * ny - tol * (1.0 + np.linalg.norm(g))
+    for h in (h for p in con for h in p.generators):
+        assert np.dot(h, y) >= -tol * np.linalg.norm(h)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +247,12 @@ def test_kkt_needs_no_multiplier_cap():
 
 
 def test_every_kkt_fails_carries_a_separating_witness():
+    """The unit vector y along a ``fails`` report's own combination of
+    multipliers and witnesses has <g, y> > b_k on every generator g of
+    objective k, b_k = radius + eps_k + tau_solver, and <h, y> >= 0 up to
+    rounding on every generator h of an active constraint, with the
+    generators rebuilt from the calculus: no multipliers reach the
+    threshold."""
     rng = np.random.default_rng(31)
     problems = [
         make_problem(1, [("u0^2", "3*u0^2")], [], [-1], [1]),
@@ -236,22 +264,102 @@ def test_every_kkt_fails_carries_a_separating_witness():
     failed = 0
     for prob in problems:
         for z in feasible_grid(prob, GridSpec(9)):
-            for radius in (0.0, float(rng.uniform(0, 0.5))):
-                report = kkt_check(prob, z, radius=radius)
+            for radius, eps in ((0.0, None), (float(rng.uniform(0, 0.5)), None),
+                                (0.0, rng.uniform(0, 0.5, size=prob.n_objectives))):
+                report = kkt_check(prob, z, radius=radius, cor41_eps=eps)
                 if report.verdict != "fails":
                     continue
                 failed += 1
-                assert report.residual - report.gap > report.threshold
-                # the nearest point from the report's own multipliers and
-                # witnesses, the generators from the calculus
                 act = active_set(prob, z)
-                res = SimpleNamespace(lam=report.lam, obj_witnesses=report.obj_witnesses,
-                                      mu=report.mu[list(act)],
-                                      con_witnesses=[report.con_witnesses[j] for j in act],
-                                      residual=report.residual, gap=report.gap)
-                _assert_separation_bound(res, [weak_gen_gradient(f, z) for f in prob.objectives],
-                                         [clarke_subdiff(prob.constraints[j], z) for j in act])
+                y = sum(lk * np.asarray(w) for lk, w in zip(report.lam, report.obj_witnesses))
+                y = y + sum(report.mu[j] * np.asarray(report.con_witnesses[j]) for j in act)
+                assert np.linalg.norm(y) == pytest.approx(report.residual, abs=1e-9)
+                y = y / report.residual
+                b = radius + (0.0 if eps is None else eps) + prob.tolerances.tau_solver
+                for k, f in enumerate(prob.objectives):
+                    for g in weak_gen_gradient(f, z).generators:
+                        assert np.dot(g, y) > np.broadcast_to(b, prob.n_objectives)[k]
+                for j in act:
+                    for h in clarke_subdiff(prob.constraints[j], z).generators:
+                        assert np.dot(h, y) >= -1e-8 * np.linalg.norm(h)
     assert failed > 10
+
+
+# objectives [u0, 3*u0] and [2*u0, 6*u0]: their generators are {2, 1} and
+# {4, 2}, so lam = (1, 0) gives the nearest point, 1, and lam = (0, 1) gives 2
+TWO_SLOPES = make_problem(1, [("u0", "3*u0"), ("2*u0", "6*u0")], [], [0], [1])
+
+
+def test_cor41_radius_is_decided_over_every_lambda():
+    # the residual 1 of the nearest point misses its radius 0, but lam = (0, 1)
+    # brings residual 2 under the radius 5
+    report = kkt_check(TWO_SLOPES, [0.5], cor41_eps=[0.0, 5.0])
+    assert report.holds
+    assert report.lam == pytest.approx([0.0, 1.0], abs=1e-12)
+    assert report.residual == pytest.approx(2.0, abs=1e-12)
+    assert report.threshold == pytest.approx(5.0 + 1e-8, abs=1e-12)
+    # residual 2 - lam_0 against radius 0.5 (1 - lam_0): no lam reaches it
+    assert kkt_check(TWO_SLOPES, [0.5], cor41_eps=[0.0, 0.5]).verdict == "fails"
+
+
+def test_sufficiency_takes_the_lambda_that_meets_its_radius():
+    rep = sufficiency_thm_4_3(TWO_SLOPES, [0.0], [0.0, 5.0], SPEC)
+    assert rep.verdict == "holds"
+    assert rep.kkt.lam == pytest.approx([0.0, 1.0], abs=1e-12)
+
+
+def _segment_objective(p, q):
+    """An interval objective whose weak generalized gradient is {p, q}
+    everywhere: centre p.u and width q.u + sum|q|, which is >= 0 on
+    [0, 1]^n."""
+    centre = " + ".join(f"{c}*u{i}" for i, c in enumerate(p))
+    width = " + ".join(f"{c}*u{i}" for i, c in enumerate(q)) + f" + {sum(map(abs, q))}"
+    return f"({centre}) - ({width})", f"({centre}) + ({width})"
+
+
+def _scan_minimum(polys, cone, eps, steps=501):
+    """min over lam = (t, 1 - t) of dist(0, t P_0 + (1 - t) P_1 + cone(H))
+    - lam.eps, each distance from scipy's NNLS."""
+    dim = len(polys[0][0])
+    h = np.array(cone, dtype=float).reshape(-1, dim)
+    best = np.inf
+    for t in np.linspace(0.0, 1.0, steps):
+        gens = np.array([t * np.asarray(a) + (1 - t) * np.asarray(c)
+                         for a in polys[0] for c in polys[1]])
+        e = np.zeros((dim + 1, len(gens) + len(h)))
+        e[:dim] = np.vstack([gens, h]).T
+        e[dim, :len(gens)] = 1.0
+        u, _ = scipy_nnls(e, np.eye(dim + 1)[dim])
+        dist = float(np.linalg.norm(e[:dim] @ u)) / float(np.sum(u[:len(gens)]))
+        best = min(best, dist - t * eps[0] - (1 - t) * eps[1])
+    return best
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_kkt_verdict_matches_a_lambda_scan(data):
+    # two objectives, some eps_k = 0, a cone in some draws: the verdict must
+    # agree with a fine scan of lam, up to the scan's resolution
+    dim = data.draw(st.integers(1, 2))
+    coord = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    polys = [data.draw(st.lists(coord, min_size=2, max_size=2)) for _ in range(2)]
+    cone = data.draw(st.lists(coord, max_size=2))
+    eps = data.draw(st.lists(st.sampled_from([0.0, 1.0, 3.0]), min_size=2, max_size=2))
+    u = [0.5] * dim
+    prob = make_problem(dim, [_segment_objective(*pq) for pq in polys],
+                        [" + ".join(f"{c}*(u{i}-0.5)" for i, c in enumerate(h)) for h in cone],
+                        [0.0] * dim, [1.0] * dim)
+    report = kkt_check(prob, u, cor41_eps=eps)
+    scan = _scan_minimum(polys, cone, eps)
+    tau, band = prob.tolerances.tau_solver, 2e-2   # above the 501-step scan's error
+    if report.verdict == "holds":
+        assert scan <= tau + band
+    elif report.verdict == "fails":
+        assert scan > tau - 1e-9
+    else:
+        assert abs(scan - tau) <= band
+    if scan < tau - band:
+        assert report.holds
 
 
 def test_bcq_examples(abs_problem):

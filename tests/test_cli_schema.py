@@ -20,7 +20,7 @@ _EXIT = {"holds": 0, "fails": 1, "inconclusive": 2,
 _COMMON = {"command", "verdict", "elapsed_seconds"}
 _PROBLEM = _COMMON | {"config"}
 _CERTIFICATE = {"residual", "threshold", "lambda", "mu", "objective_witnesses",
-                "constraint_witnesses", "exact", "iterations", "gap", "mu_capped"}
+                "constraint_witnesses", "exact", "iterations", "mu_capped"}
 
 KEYS = {
     "verify": _PROBLEM | {"concept", "point", "grid_size"},

@@ -181,6 +181,27 @@ def test_game_kkt_boundary_multiplier(abs_game):
     assert rep.mu[0] > 0
 
 
+def _two_slopes_game():
+    """Player 0 has objectives [u0, 3*u0] and [2*u0, 6*u0], whose
+    generators {2, 1} and {4, 2} put the nearest point at lam = (1, 0)."""
+    p0 = make_player(2, [("u0", "3*u0"), ("2*u0", "6*u0")], [], [0.0], [1.0], ppd=101)
+    p1 = make_player(2, [("u1^2", "u1^2 + 1"), ("u1^2", "2*u1^2 + 1")], [], [0.0], [1.0],
+                     ppd=101)
+    return Game(players=(p0, p1))
+
+
+def test_game_kkt_takes_the_lambda_that_meets_its_radius():
+    # player 0's residual is 1 at lam = (1, 0), over its radius 0, and 2 at
+    # lam = (0, 1), under its radius 5
+    rep = game_kkt(_two_slopes_game(), [0.5, 0.0], [0.0, 5.0], mode="thm_5_2")[0].report
+    assert rep.holds
+    assert rep.lam == pytest.approx([0.0, 1.0], abs=1e-12)
+
+
+def test_game_sufficiency_takes_the_lambda_that_meets_its_radius():
+    assert game_sufficiency(_two_slopes_game(), [0.0, 0.0], [0.0, 5.0]).verdict == "holds"
+
+
 def test_game_kkt_ball_mode(quad_game):
     outcomes = game_kkt(quad_game, [0.5, 0.5], 0.1, mode="thm_5_1", delta=0.4)
     for out in outcomes:

@@ -204,6 +204,25 @@ def test_cli_kkt_holds_at_minimum(abs_problem_file, tmp_path, capsys):
     assert report["config"]["tolerances"]["tau_solver"] == 1e-8
 
 
+@pytest.mark.parametrize("eps, verdict, code", [("0,5", "holds", 0), ("0,0.5", "fails", 1)])
+def test_cli_cor41_eps_takes_the_lambda_that_meets_its_radius(tmp_path, eps, verdict, code):
+    # at 0.5 the nearest point, lam = (1, 0), has residual 1 > 0; lam = (0, 1)
+    # has residual 2, which eps = (0, 5) admits and eps = (0, 0.5) does not
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({
+        "dim": 1, "objectives": [{"lower": "u0", "upper": "3*u0"},
+                                 {"lower": "2*u0", "upper": "6*u0"}],
+        "box": {"lo": [0], "hi": [1]}}))
+    report_path = tmp_path / "kkt.json"
+    assert main(["kkt", "--problem", str(path), "--point=0.5", f"--cor41-eps={eps}",
+                 "--json", str(report_path)]) == code
+    report = json.loads(report_path.read_text())
+    assert report["verdict"] == verdict
+    if code == 0:
+        assert report["lambda"] == pytest.approx([0.0, 1.0], abs=1e-12)
+        assert report["residual"] == pytest.approx(2.0, abs=1e-12)
+
+
 def test_cli_kkt_fails_off_minimum(quad_problem_file, capsys):
     code = main(["kkt", "--problem", quad_problem_file, "--point", "0.5"])
     assert code == 1
@@ -403,12 +422,15 @@ def test_variables_and_name_round_trip():
     ({"box": {"lo": [0], "hi": [0]}}, "box", "box must have lo < hi, got [0.0, 0.0]"),
     ({"grid": {"points_per_dim": 1}}, "grid.points_per_dim", "expected at least 2, got 1"),
     ({"grid": {"points_per_dim": 0}}, "grid.points_per_dim", "expected at least 2, got 0"),
+    ({"dim": 5}, "dim", "grids cover dimensions 1 to 4, got 5"),
+    ({"grid": {"points_per_dim": 10**8}}, "grid.points_per_dim",
+     "grid of 100000000 points exceeds cap 10000000"),
 ])
 @pytest.mark.parametrize("kind", ["problem", "player"])
 def test_bad_block_is_rejected_at_load_for_both_kinds(tmp_path, kind, block, field, message):
     # a player's flipped box loaded and made every profile infeasible, and its
-    # one-point grid failed at the first query; a problem's grid failed with
-    # a GridError that named no field
+    # one-point, 5-D or oversized grid failed at the first query; a problem's
+    # grid failed with a GridError that named no field
     if kind == "problem":
         d = copy.deepcopy(ABS_PROBLEM_JSON)
         d.update(block)
