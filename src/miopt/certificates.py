@@ -234,7 +234,6 @@ class CertificateReport:
     iterations: int
     threshold: float
     mu_capped: bool
-    tolerances: dict = field(default_factory=dict)
 
     @property
     def holds(self) -> bool:
@@ -250,7 +249,7 @@ def _subdiff_polys(problem: MIOProblem, u, con_indices):
 
 
 def _report(problem: MIOProblem, res: MinNormResult, con_indices, verdict: str, exact: bool,
-            threshold: float, tolerances: dict) -> CertificateReport:
+            threshold: float) -> CertificateReport:
     """Report of a min-norm solve whose multipliers mu sit on con_indices."""
     mu = np.zeros(problem.n_constraints)
     mu[list(con_indices)] = res.mu
@@ -258,15 +257,14 @@ def _report(problem: MIOProblem, res: MinNormResult, con_indices, verdict: str, 
         verdict=verdict, residual=res.residual, lam=res.lam, mu=mu,
         obj_witnesses=res.obj_witnesses, con_witnesses=dict(zip(con_indices, res.con_witnesses)),
         exact=exact, iterations=res.iterations, threshold=threshold,
-        mu_capped=res.mu_capped, tolerances=tolerances)
+        mu_capped=res.mu_capped)
 
 
 def kkt_check(problem: MIOProblem, u_bar, radius: float = 0.0,
               cor41_eps=None) -> CertificateReport:
     """Membership of 0 in sum(lambda_k * dF_k) + sum(mu_j * dg_j) + r*B at
     a feasible point, with complementarity enforced structurally (mu is
-    supported on the active set only) and no bound on mu
-    (``Tolerances.mu_max`` is only reported).
+    supported on the active set only) and no bound on mu.
 
     The radius r = radius + lambda.eps (eps = ``cor41_eps``, else 0)
     depends on the multipliers; one LDP with b_k = radius + eps_k +
@@ -294,8 +292,7 @@ def kkt_check(problem: MIOProblem, u_bar, radius: float = 0.0,
     else:
         # only a superset was refuted, or the residual's direction separates nothing
         verdict = "inconclusive"
-    return _report(problem, res, act, verdict, exact, threshold,
-                   {"tau_solver": tol, "mu_max": problem.tolerances.mu_max, "radius": radius})
+    return _report(problem, res, act, verdict, exact, threshold)
 
 
 def _separates(y, obj_polys, con_polys, b, tol: float) -> bool:
@@ -542,9 +539,7 @@ def modified_eps_kkt(problem: MIOProblem, x0, epsilon: float, spec: GridSpec) ->
             if res.residual > root + tol:
                 break
             exact = all(p.exact for p in obj_polys) and all(p.exact for p in con_polys)
-            report = _report(problem, res, subset, "holds", exact, root + tol,
-                             {"tau_solver": tol, "mu_max": problem.tolerances.mu_max,
-                              "epsilon": epsilon})
+            report = _report(problem, res, subset, "holds", exact, root + tol)
             comp = float(np.dot(report.mu, g_at_x0))
             if comp >= -epsilon - tol:
                 return ModKKTOutcome("holds", x, report, comp)

@@ -22,12 +22,8 @@ import time
 import numpy as np
 
 from . import certificates, evp, game as game_mod, grid as grid_mod, io as io_mod
-from .certificates import CertificateError
-from .evp import DescentError
-from .expr import ExprError
-from .game import Game, GameError
-from .grid import GridError, GridSpec
-from .io import SchemaError
+from .game import Game
+from .grid import GridSpec
 from .problem import MIOProblem, Tolerances, as_epsilon, feasible
 
 _EXIT = {"holds": 0, "fails": 1, "inconclusive": 2,
@@ -36,6 +32,11 @@ _EXIT = {"holds": 0, "fails": 1, "inconclusive": 2,
 
 class UsageError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 3 through main, not argparse's 2 (inconclusive)
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _to_jsonable(obj):
@@ -90,9 +91,8 @@ def _load(args) -> tuple[MIOProblem | Game, GridSpec | None]:
         return model, None
     overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(Tolerances)
                  if getattr(args, f.name) is not None}
-    if overrides:
-        model = dataclasses.replace(
-            model, tolerances=dataclasses.replace(model.tolerances, **overrides))
+    tolerances = dataclasses.replace(model.tolerances, **overrides)
+    model = dataclasses.replace(model, tolerances=tolerances)
     return model, grid_mod.spec_for(model, args.grid)
 
 
@@ -310,7 +310,7 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="miopt",
         description="Verification toolkit for multiobjective interval-valued "
                     "optimization problems and games.")
@@ -416,10 +416,10 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
-    t0 = time.monotonic()
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        args = build_parser().parse_args(_attach_negative_values(argv))
+        t0 = time.monotonic()
         _check_finite(args)
         model, spec = _load(args)
         if "point" in args:
@@ -436,9 +436,7 @@ def main(argv=None) -> int:
             with open(args.json_path, "w", encoding="utf-8") as fh:
                 json.dump(report, fh, indent=2)
                 fh.write("\n")
-    except (UsageError, SchemaError, ExprError, GridError, GameError,
-            CertificateError, DescentError, OSError,
-            ValueError, ArithmeticError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -17,7 +17,7 @@ from .expr import Const, Expr, IVFunction, Var, eval_expr, substitute
 from .grid import (GridSpec, IntervalError, default_points_per_dim, dominators_of,
                    endpoint_values, feasible_grid, feasible_rows, grid_points,
                    objective_table, point_dominated, value_table)
-from .problem import DEFAULT_TOLERANCES, MIOProblem, PremiseError, Tolerances, as_epsilon
+from .problem import DEFAULT_TOLERANCES, MIOProblem, PremiseError, Tolerances, as_epsilon, check_box
 
 if TYPE_CHECKING:
     from .certificates import CertificateReport, SearchOutcome
@@ -44,8 +44,7 @@ class Player:
             raise ValueError("player dim must be >= 1")
         if not self.objectives:
             raise ValueError("player needs at least one objective")
-        if len(self.box_lo) != self.dim or len(self.box_hi) != self.dim:
-            raise ValueError("player box dimension mismatch")
+        check_box(self.box_lo, self.box_hi, self.dim)
 
 
 @dataclass(frozen=True)

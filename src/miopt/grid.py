@@ -59,7 +59,6 @@ def default_points_per_dim(n: int) -> int:
 @dataclass(frozen=True)
 class GridSpec:
     points_per_dim: int
-    cap: int = GRID_CAP
 
     def __post_init__(self) -> None:
         if self.points_per_dim < 2:
@@ -77,11 +76,11 @@ def spec_for(problem: MIOProblem, points_per_dim: int | None = None) -> GridSpec
 
 
 def check_grid(n: int, spec: GridSpec) -> None:
-    """GridError unless the n-dimensional grid of spec has n <= MAX_DIM and <= spec.cap points."""
+    """GridError unless n <= MAX_DIM and the n-dimensional grid of spec has <= GRID_CAP points."""
     if n > MAX_DIM:
         raise GridError(f"brute-force grids are dishonest beyond dimension {MAX_DIM} (got {n})")
-    if spec.points_per_dim ** n > spec.cap:
-        raise GridError(f"grid of {spec.points_per_dim ** n} points exceeds cap {spec.cap}")
+    if spec.points_per_dim ** n > GRID_CAP:
+        raise GridError(f"grid of {spec.points_per_dim ** n} points exceeds cap {GRID_CAP}")
 
 
 def grid_points(box_lo: Sequence[float], box_hi: Sequence[float], spec: GridSpec) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Any
 from .expr import ExprError, IVFunction, parse_expr, to_string
 from .grid import (MAX_DIM, GridError, GridSpec, IntervalError, check_grid, endpoint_values,
                    grid_points, spec_for)
-from .problem import DEFAULT_TOLERANCES, MIOProblem, Tolerances
+from .problem import DEFAULT_TOLERANCES, MIOProblem, Tolerances, check_box
 
 if TYPE_CHECKING:
     from .game import Game, Player
@@ -89,8 +89,13 @@ def _parse(text: Any, n_vars: int, path: str):
 def _tolerances(d: dict | None, path: str) -> Tolerances:
     if d is None:
         return DEFAULT_TOLERANCES
-    _check_fields(d, set(_TOL_FIELDS), path)
-    return Tolerances(**{key: _float(d[key], f"{path}.{key}") for key in _TOL_FIELDS if key in d})
+    # files written before mu_max was retired carry it: checked, then dropped
+    _check_fields(d, {*_TOL_FIELDS, "mu_max"}, path)
+    values = {key: _float(value, f"{path}.{key}") for key, value in d.items()}
+    try:
+        return Tolerances(**{key: values[key] for key in _TOL_FIELDS if key in values})
+    except ValueError as exc:
+        raise SchemaError(f"{path}.{exc}") from exc
 
 
 def _dim(d: dict, allowed: set[str], path: str) -> int:
@@ -128,11 +133,10 @@ def _read_block(d: dict, dim: int, n_vars: int, path: str) -> tuple[dict, int | 
     _check_fields(box, {"lo", "hi"}, f"{path}.box")
     box_lo, box_hi = (_float_list(_require(box, key, f"{path}.box"), f"{path}.box.{key}")
                       for key in ("lo", "hi"))
-    if len(box_lo) != dim or len(box_hi) != dim:
-        raise SchemaError(f"{path}.box: expected {dim} bounds in lo and hi")
-    for lo, hi in zip(box_lo, box_hi):
-        if not lo < hi:
-            raise SchemaError(f"{path}.box: box must have lo < hi, got [{lo}, {hi}]")
+    try:
+        check_box(box_lo, box_hi, dim)
+    except ValueError as exc:
+        raise SchemaError(f"{path}.box: {exc}") from exc
 
     ppd = None
     if d.get("grid") is not None:

@@ -9,7 +9,7 @@ its discretization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,17 +22,25 @@ class Tolerances:
     tau_feas: float = 1e-9
     tau_act: float = 1e-6
     tau_solver: float = 1e-8
-    mu_max: float = 1e3       # reported only: no check bounds the multipliers
 
     def __post_init__(self) -> None:
-        # a NaN tau_feas would make every grid point infeasible
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name}: expected a finite number, got {value}")
+        # NaN tau_feas makes every point infeasible; tau_solver < 0 refutes a zero residual
+        for name, value in vars(self).items():
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name}: expected a finite number >= 0, got {value}")
 
 
 DEFAULT_TOLERANCES = Tolerances()
+
+
+def check_box(box_lo: Sequence[float], box_hi: Sequence[float], dim: int) -> None:
+    """The box of a problem or game player: dim finite bounds in lo and hi, lo < hi on each axis."""
+    if len(box_lo) != dim or len(box_hi) != dim:
+        raise ValueError(f"expected {dim} bounds in lo and hi")
+    for lo, hi in zip(box_lo, box_hi):
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            rule = "lo < hi" if math.isfinite(lo) and math.isfinite(hi) else "finite bounds"
+            raise ValueError(f"box must have {rule}, got [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)
@@ -61,11 +69,7 @@ class MIOProblem:
         for g in self.constraints:
             if max(g.vars, default=-1) >= self.dim:
                 raise ValueError("constraint uses out-of-range variable")
-        if len(self.box_lo) != self.dim or len(self.box_hi) != self.dim:
-            raise ValueError("box dimension mismatch")
-        for lo, hi in zip(self.box_lo, self.box_hi):
-            if not lo < hi:
-                raise ValueError(f"box must have lo < hi, got [{lo}, {hi}]")
+        check_box(self.box_lo, self.box_hi, self.dim)
 
     @property
     def n_objectives(self) -> int:

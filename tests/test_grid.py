@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -19,10 +20,14 @@ def test_default_resolutions():
         default_points_per_dim(5)
 
 
+def test_grid_spec_is_its_points_per_dim():
+    assert [f.name for f in dataclasses.fields(GridSpec)] == ["points_per_dim"]
+
+
 def test_cap_enforced():
     prob = make_problem(2, [("u0", "u0")], [], [-1, -1], [1, 1])
     with pytest.raises(GridError):
-        feasible_grid(prob, GridSpec(points_per_dim=4000, cap=10**6))
+        feasible_grid(prob, GridSpec(points_per_dim=4000))
 
 
 def test_feasible_grid_filter():

@@ -9,7 +9,7 @@ import pytest
 
 import miopt
 from miopt import Game, MIOProblem, eval_expr
-from miopt.cli import main
+from miopt.cli import build_parser, main
 from miopt.io import (SchemaError, game_from_dict, load, problem_from_dict,
                       save, serialize)
 from .conftest import ABS_PROBLEM_JSON, QUAD_GAME_JSON
@@ -133,7 +133,7 @@ def test_bad_tolerance_field():
     ("box", {"lo": [-2], "hi": [float("inf")]}, "box.hi[0]"),
     ("box", {"lo": [float("nan")], "hi": [2]}, "box.lo[0]"),
     ("tolerances", {"tau_feas": float("nan")}, "tolerances.tau_feas"),
-    ("tolerances", {"mu_max": float("-inf")}, "tolerances.mu_max"),
+    ("tolerances", {"tau_act": float("-inf")}, "tolerances.tau_act"),
     ("epsilon", [0.1, float("inf")], "epsilon[1]"),
 ])
 def test_non_finite_file_field_is_named(tmp_path, where, value, field):
@@ -306,9 +306,71 @@ def test_cli_grid_override(abs_problem_file, tmp_path):
 def test_cli_tolerance_override(abs_problem_file, tmp_path):
     report_path = tmp_path / "k.json"
     main(["kkt", "--problem", abs_problem_file, "--point", "0",
-          "--mu-max", "50", "--json", str(report_path)])
+          "--tau-act", "1e-4", "--json", str(report_path)])
     report = json.loads(report_path.read_text())
-    assert report["config"]["tolerances"]["mu_max"] == 50.0
+    assert report["config"]["tolerances"]["tau_act"] == 1e-4
+
+
+NEGATIVE_TAU = {"dim": 1, "objectives": [{"lower": "u0^2", "upper": "3*u0^2"}],
+                "box": {"lo": [-1], "hi": [1]}}
+
+
+def test_negative_file_tolerance_exits_3_naming_the_field(tmp_path, capsys):
+    # it loaded, and kkt refuted the stationary point 0 with threshold -1
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(dict(NEGATIVE_TAU, tolerances={"tau_solver": -1})))
+    assert main(["kkt", "--problem", str(path), "--point", "0"]) == 3
+    assert capsys.readouterr().err == (f"error: {path}.tolerances.tau_solver: "
+                                       "expected a finite number >= 0, got -1.0\n")
+
+
+def test_negative_tolerance_flag_exits_3(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(NEGATIVE_TAU))
+    assert main(["kkt", "--problem", str(path), "--point", "0", "--tau-solver", "-1"]) == 3
+    assert "tau_solver: expected a finite number >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["abs_problem_file", "quad_game_file"])
+def test_file_with_the_retired_mu_max_loads_and_saves_without_it(request, tmp_path, model):
+    # every file the io.save of earlier releases wrote carries tolerances.mu_max
+    with open(request.getfixturevalue(model), encoding="utf-8") as fh:
+        d = json.load(fh)
+    d["tolerances"] = {"tau_feas": 1e-9, "tau_act": 1e-4, "tau_solver": 1e-8, "mu_max": 1000.0}
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(d))
+    loaded = load(str(path))
+    assert loaded.tolerances.tau_act == 1e-4
+    save(loaded, str(tmp_path / "new.json"))
+    saved = json.loads((tmp_path / "new.json").read_text())
+    assert saved["tolerances"] == {"tau_feas": 1e-9, "tau_act": 1e-4, "tau_solver": 1e-8}
+    # it is still read as a number
+    d["tolerances"]["mu_max"] = float("nan")
+    path.write_text(json.dumps(d))
+    with pytest.raises(SchemaError, match=re.escape("tolerances.mu_max: expected a finite")):
+        load(str(path))
+
+
+@pytest.mark.parametrize("argv", [
+    ["kkt", "--problem", "p.json"],
+    ["kkt", "--problem", "p.json", "--point", "0", "--radius", "abc"],
+    ["nosuch"],
+    [],
+    ["kkt", "--problem", "p.json", "--point", "0", "--mu-max", "50"],
+])
+def test_usage_errors_exit_3(argv, capsys):
+    # argparse exits 2, the code of inconclusive
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: miopt")
+
+
+def test_help_exits_0_and_lists_no_mu_max(capsys):
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    for argv in [[]] + [[name] for name in commands]:
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv + ["--help"])
+        assert exc_info.value.code == 0
+        assert "--mu-max" not in capsys.readouterr().out
 
 
 def test_cli_infeasible_point_message_prints_plain_floats(tmp_path, capsys):

@@ -7,6 +7,7 @@ import miopt
 from miopt import (GridSpec, active_set, as_epsilon, feasible, feasible_grid,
                    is_weak_eps_minimal, is_weak_eps_quasi_minimal,
                    is_weak_minimal, restrict_to_ball)
+from miopt.game import Player
 from miopt.problem import Tolerances, distances
 from .conftest import make_problem
 
@@ -18,6 +19,37 @@ def test_model_validation():
         make_problem(1, [("u0", "u0")], [], [1], [-1])
     with pytest.raises(ValueError):
         make_problem(1, [("u1", "u1")], [], [-1], [1])
+
+
+def test_tolerances_are_the_three_that_decide_a_verdict():
+    assert [f.name for f in dataclasses.fields(Tolerances)] == ["tau_feas", "tau_act",
+                                                                "tau_solver"]
+
+
+def test_negative_tolerance_is_rejected_by_name():
+    # a threshold of -1 refuted the stationary point 0 of [u0^2, 3*u0^2]
+    with pytest.raises(ValueError, match=r"^tau_solver: expected a finite number >= 0, got -1"):
+        Tolerances(tau_solver=-1)
+    with pytest.raises(ValueError, match=r"^tau_feas: "):
+        Tolerances(tau_solver=-1, tau_feas=-0.5)
+    assert Tolerances(tau_feas=0, tau_act=0, tau_solver=0).tau_solver == 0
+
+
+@pytest.mark.parametrize("lo, hi, message", [
+    ((-np.inf,), (1.0,), "box must have finite bounds, got [-inf, 1.0]"),
+    ((0.0,), (np.nan,), "box must have finite bounds, got [0.0, nan]"),
+    ((1.0,), (0.0,), "box must have lo < hi, got [1.0, 0.0]"),
+    ((0.0, 0.0), (1.0, 1.0), "expected 1 bounds in lo and hi"),
+])
+def test_one_box_rule_for_problems_and_players(lo, hi, message):
+    # an infinite bound gave a NaN grid; a player with lo > hi was
+    # accepted and then called every profile infeasible
+    f = make_problem(1, [("u0", "u0+1")], [], [0], [1]).objectives
+    for build in (lambda: miopt.MIOProblem(1, f, (), lo, hi),
+                  lambda: Player(1, f, (), lo, hi)):
+        with pytest.raises(ValueError) as exc_info:
+            build()
+        assert str(exc_info.value) == message
 
 
 def test_as_epsilon():
@@ -111,7 +143,7 @@ def test_eps_monotonicity(quad_problem):
     lambda prob: miopt.evp_descent_vector(prob, np.nan, GridSpec(11), [0.0]),
     lambda prob: Tolerances(tau_feas=np.nan),
     lambda prob: Tolerances(tau_solver=np.inf),
-    lambda prob: dataclasses.replace(prob.tolerances, mu_max=-np.inf),
+    lambda prob: dataclasses.replace(prob.tolerances, tau_act=-np.inf),
 ])
 def test_nan_fails_the_range_checks(abs_problem, call):
     with pytest.raises(ValueError):
