@@ -33,7 +33,7 @@ import numpy as np
 from .expr import Polytope, clarke_subdiff, eval_expr, eval_points, weak_gen_gradient
 from .grid import GridSpec, feasible_grid, point_dominated, value_table
 from .problem import (CertificateError, MIOProblem, PremiseError, active_set, as_epsilon,
-                      distances, feasible, restrict_to_ball)
+                      distances, require_feasible, restrict_to_ball)
 
 DEFAULT_BCQ_TAU = 1e-6
 EPS = float(np.finfo(float).eps)
@@ -275,8 +275,7 @@ def kkt_check(problem: MIOProblem, u_bar, radius: float = 0.0,
     tol = problem.tolerances.tau_solver
     if not radius >= 0:
         raise CertificateError("radius must be >= 0")
-    if not feasible(problem, u_bar):
-        raise CertificateError(f"point {np.asarray(u_bar, dtype=float).tolist()} is infeasible")
+    require_feasible(problem, u_bar)
 
     act = active_set(problem, u_bar)
     obj_polys, con_polys, exact = _subdiff_polys(problem, u_bar, act)
@@ -319,8 +318,7 @@ def bcq_check(problem: MIOProblem, u) -> BCQReport:
     """Basic constraint qualification: after normalizing sum(mu) = 1, BCQ
     fails iff the origin lies in co(union of active-constraint
     subdifferentials).  Vacuously true with no active constraints."""
-    if not feasible(problem, u):
-        raise CertificateError(f"point {np.asarray(u, dtype=float).tolist()} is infeasible")
+    require_feasible(problem, u)
     act = active_set(problem, u)
     if not act:
         return BCQReport(holds=True, distance=None, active=())
@@ -350,6 +348,7 @@ def eps_kkt_thm_4_1(problem: MIOProblem, u_bar, eps, delta: float,
         raise ValueError("eps must be nonzero")
     if not delta > 0:
         raise ValueError("delta must be > 0")
+    require_feasible(problem, u_bar)
     pts = feasible_grid(problem, spec)
     if point_dominated(problem, value_table(problem, pts), u_bar, earr):
         raise PremiseError("u_bar is not weak eps-minimal on the grid")
@@ -406,8 +405,7 @@ def gen_convexity_check(problem: MIOProblem, u0, samples: Sequence) -> GenConvex
     Values come from one value table, so an invalid interval at a sample
     or at u0 raises IntervalError."""
     tol = problem.tolerances.tau_solver
-    if not feasible(problem, u0):
-        raise CertificateError("u0 must be feasible")
+    require_feasible(problem, u0)
     u0_arr = np.asarray(u0, dtype=float)
     pts = np.asarray(samples, dtype=float).reshape(len(samples), problem.dim)
 
@@ -473,6 +471,7 @@ def sufficiency_thm_4_3(problem: MIOProblem, u_bar, eps, spec: GridSpec) -> Suff
     earr = as_epsilon(eps, problem.n_objectives)
     if not np.any(earr > 0):
         raise ValueError("eps must be nonzero")
+    require_feasible(problem, u_bar)
 
     # the grid every stage decides on; its table checks every interval first
     pts = feasible_grid(problem, spec)
@@ -480,11 +479,12 @@ def sufficiency_thm_4_3(problem: MIOProblem, u_bar, eps, spec: GridSpec) -> Suff
     kkt = kkt_check(problem, u_bar, cor41_eps=earr)
     if not kkt.exact:
         return SufficiencyReport("inconclusive", None, None, None)
-    if not kkt.holds:
-        return SufficiencyReport("hypothesis-failed", kkt, None, None)
-    gc = gen_convexity_check(problem, u_bar, pts)
-    if not gc.holds:
-        verdict = "inconclusive" if gc.verdict == "inconclusive" else "hypothesis-failed"
+    # a hypothesis fails only where a stage certifies it: a separating
+    # witness for the KKT check, a Farkas vector for generalized convexity
+    gc = gen_convexity_check(problem, u_bar, pts) if kkt.holds else None
+    stage = kkt if gc is None else gc
+    if not stage.holds:
+        verdict = "hypothesis-failed" if stage.verdict == "fails" else "inconclusive"
         return SufficiencyReport(verdict, kkt, gc, None)
 
     if point_dominated(problem, table, u_bar, earr, quasi=True):
@@ -513,8 +513,7 @@ def modified_eps_kkt(problem: MIOProblem, x0, epsilon: float, spec: GridSpec) ->
     if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
     tol = problem.tolerances.tau_solver
-    if not feasible(problem, x0):
-        raise CertificateError("x0 must be feasible")
+    require_feasible(problem, x0)
     x0_arr = np.asarray(x0, dtype=float)
     g_at_x0 = np.array([eval_expr(g, x0_arr) for g in problem.constraints])
 
@@ -582,6 +581,7 @@ def approx_kkt_sequence(problem: MIOProblem, u_bar, xs: Sequence, eps_seq: Seque
     eps_arr = np.asarray(eps_seq, dtype=float)
     if not np.all(eps_arr > 0):
         raise ValueError("eps sequence entries must be > 0")
+    require_feasible(problem, u_bar)
     xs_arr = [np.asarray(x, dtype=float) for x in xs]
     u_arr = np.asarray(u_bar, dtype=float)
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import certificates, evp, game as game_mod, grid as grid_mod, io as io_mod
 from .game import Game
 from .grid import GridSpec
-from .problem import MIOProblem, Tolerances, as_epsilon, feasible
+from .problem import MIOProblem, Tolerances, as_epsilon, require_feasible
 
 _EXIT = {"holds": 0, "fails": 1, "inconclusive": 2,
          "not-found-at-resolution": 2, "hypothesis-failed": 1}
@@ -116,8 +116,7 @@ _CONCEPTS = {"weak-min": (False, False), "weak-eps-min": (True, False),
 
 
 def _cmd_verify(args, problem, spec):
-    if not feasible(problem, args.point):
-        raise UsageError(f"point {args.point.tolist()} is infeasible")
+    require_feasible(problem, args.point)
     pts = grid_mod.feasible_grid(problem, spec)
     takes_eps, quasi = _CONCEPTS[args.concept]
     eps = 0.0
@@ -257,18 +256,12 @@ def _cmd_prop21(args, problem, spec):
 
 
 def _cmd_game_verify(args, game, spec):
-    eps = _parse_vector(args.eps)
-    quasi = args.concept == "qne"
-    check = game_mod.is_w_eps_qne if quasi else game_mod.is_w_eps_ne
-    ok = check(game, args.point, eps)
+    dev = game_mod.first_deviation(game, args.point, _parse_vector(args.eps),
+                                   quasi=args.concept == "qne")
     payload = {"concept": args.concept, "point": args.point}
-    if not ok:
-        for i in range(game.n_players):
-            dev = game_mod.find_deviation(game, i, args.point, eps, quasi=quasi)
-            if dev is not None:
-                payload["deviation"] = {"player": i, "strategy": dev}
-                break
-    return ("holds" if ok else "fails"), payload
+    if dev is not None:
+        payload["deviation"] = {"player": dev[0], "strategy": dev[1]}
+    return ("holds" if dev is None else "fails"), payload
 
 
 def _cmd_game_kkt(args, game, spec):

@@ -11,7 +11,7 @@ verification is part of the operation, not optional.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -99,27 +99,31 @@ def descent_eps_minimal(problem: MIOProblem, eps, spec: GridSpec,
     return table.points[i].copy(), trace
 
 
+def _chain(table: ValueTable, merit: np.ndarray, i: int, step: Callable[[int], np.ndarray],
+           reason: str, max_iters: int) -> tuple[int, DescentTrace]:
+    """From row i, step to the least-merit row of the mask step(i) until
+    the mask is empty, which the trace records as its reason; raise if it
+    is still nonempty after max_iters masks."""
+    trace = DescentTrace([table.points[i].copy()], [float(merit[i])])
+    for _ in range(max_iters):
+        cand = np.flatnonzero(step(i))
+        if not cand.size:
+            trace.reason = reason
+            return i, trace
+        i = int(cand[np.argmin(merit[cand])])
+        trace.iterates.append(table.points[i].copy())
+        trace.merits.append(float(merit[i]))
+    raise DescentError("descent exceeded its guaranteed iteration bound")
+
+
 def _descent(table: ValueTable, earr: np.ndarray, i: int) -> tuple[int, DescentTrace]:
     eps_sum = float(np.sum(earr))
     sums, merit = _summed(table)
     handicap = np.array([eps_sum])
-    trace = DescentTrace()
-    trace.iterates.append(table.points[i].copy())
-    trace.merits.append(float(merit[i]))
     # each step drops sum F^w by more than eps_sum / 2
     max_iters = int(2.0 * sums.widths[0, i] / eps_sum) + 2
-    for _ in range(max_iters):
-        in_a = dominated_by(sums, i, handicap)
-        if not np.any(in_a):
-            trace.reason = "A(u) empty"
-            break
-        cand = np.flatnonzero(in_a)
-        i = int(cand[np.argmin(merit[cand])])
-        trace.iterates.append(table.points[i].copy())
-        trace.merits.append(float(merit[i]))
-    else:
-        raise DescentError("descent exceeded its guaranteed iteration bound")
-
+    i, trace = _chain(sums, merit, i, lambda j: dominated_by(sums, j, handicap), "A(u) empty",
+                      max_iters)
     if np.any(dominated_by(table, i, earr)):
         raise DescentError("descent endpoint failed the grid eps-minimality check")
     return i, trace
@@ -158,21 +162,13 @@ def _ekeland(table: ValueTable, merit: np.ndarray, i0: int, x0: Sequence[float],
     """The T-map descent from row i0 (the point x0), whose premise is that
     no row dominates it after the handicap eps: step to the least-merit
     point of T(u) until T(u) = {u}.  Any v != u in T(u) has strictly
-    smaller merit, so the descent is finite.  The endpoint's (a) eps-
-    minimality, (b) distance to x0 (at most b_bound) and (c) rate-quasi-
-    minimality are checked on the table."""
+    smaller merit, so no row repeats and the row count bounds the steps.
+    The endpoint's (a) eps-minimality, (b) distance to x0 (at most
+    b_bound) and (c) rate-quasi-minimality are checked on the table."""
     if np.any(dominated_by(table, i0, eps)):
         raise PremiseError(premise)
-    i, trace = i0, DescentTrace()
-    while True:
-        trace.iterates.append(table.points[i].copy())
-        trace.merits.append(float(merit[i]))
-        mask = _t_map(table, i, rate)
-        if not np.any(mask):
-            trace.reason = "T(u) = {u}"
-            break
-        cand = np.flatnonzero(mask)
-        i = int(cand[np.argmin(merit[cand])])
+    i, trace = _chain(table, merit, i0, lambda j: _t_map(table, j, rate), "T(u) = {u}",
+                      len(table.points))
     u_bar = table.points[i].copy()
     a_holds = not np.any(dominated_by(table, i, eps))
     c_holds = not np.any(dominated_by(table, i, np.full(eps.size, rate), quasi=True))

@@ -175,22 +175,27 @@ def _deviations(game: Game, i: int, u_arr: np.ndarray) -> tuple[np.ndarray, np.n
 def is_w_eps_ne(game: Game, u_bar, eps) -> bool:
     """Every player's strategy is weak eps-minimal against the frozen
     opponents on that player's own grid."""
-    return _every_player(game, u_bar, eps, quasi=False)
+    return first_deviation(game, u_bar, eps) is None
 
 
 def is_w_eps_qne(game: Game, u_bar, eps) -> bool:
     """Same with the distance-scaled handicap [0, eps_k * ||u_i - y_i||]."""
-    return _every_player(game, u_bar, eps, quasi=True)
+    return first_deviation(game, u_bar, eps, quasi=True) is None
 
 
-def _every_player(game: Game, u_bar, eps, quasi: bool) -> bool:
+def first_deviation(game: Game, u_bar, eps, quasi: bool = False):
+    """(i, y): the first player i whose MIOP with the opponents frozen at
+    u_bar has a grid point dominating u_i past the handicap, and the first
+    such point y; None at an equilibrium: the verdict and its witness at once."""
     u_arr = _checked_profile(game, u_bar)
     for i in range(game.n_players):
         prob = fix_opponents(game, i, u_arr)
         table = value_table(prob, feasible_grid(prob, player_spec(game, i)))
-        if point_dominated(prob, table, game.block(i, u_arr), eps, quasi):
-            return False
-    return True
+        at_u = value_table(prob, [game.block(i, u_arr)])
+        hits = np.flatnonzero(dominators_of(table, at_u, as_epsilon(eps, prob.n_objectives), quasi))
+        if hits.size:
+            return i, table.points[hits[0]]
+    return None
 
 
 # ---------------------------------------------------------------------------

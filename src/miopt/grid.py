@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .expr import Expr, IVFunction, eval_points
-from .problem import MIOProblem, as_epsilon, distances, feasible
+from .problem import MIOProblem, as_epsilon, distances, require_feasible
 
 GRID_CAP = 10**7
 MAX_DIM = 4
@@ -378,8 +378,7 @@ def check_thm_3_3(problem: MIOProblem, u_bar: Sequence[float], eps, spec: GridSp
     earr = as_epsilon(eps, problem.n_objectives)
     if not np.any(earr > 0):
         raise ValueError("eps must be nonzero")
-    if not feasible(problem, u_bar):
-        raise ValueError("u_bar must be feasible")
+    require_feasible(problem, u_bar)
     table = value_table(problem, feasible_grid(problem, spec))
     u_arr = np.asarray(u_bar, dtype=float)
     bar = value_table(problem, [u_arr])

@@ -120,6 +120,12 @@ def feasible(problem: MIOProblem, u: Sequence[float]) -> bool:
     return all(eval_expr(g, u) <= tau for g in problem.constraints)
 
 
+def require_feasible(problem: MIOProblem, u: Sequence[float]) -> None:
+    """Every check at a point takes the point in S as its premise."""
+    if not feasible(problem, u):
+        raise CertificateError(f"point {np.asarray(u, dtype=float).tolist()} is infeasible")
+
+
 def active_set(problem: MIOProblem, u: Sequence[float]) -> tuple[int, ...]:
     """Indices (0-based) of constraints with |g_j(u)| <= tau_act."""
     tau = problem.tolerances.tau_act

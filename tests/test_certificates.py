@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import nnls as scipy_nnls
 
 import miopt
-from miopt import (GridSpec, Polytope, approx_kkt_sequence, bcq_check, clarke_subdiff,
-                   eps_kkt_thm_4_1, eval_expr, feasible_grid, gen_convexity_check,
+from miopt import (GridSpec, Polytope, approx_kkt_sequence, bcq_check, check_thm_3_3,
+                   clarke_subdiff, eps_kkt_thm_4_1, eval_expr, feasible_grid, gen_convexity_check,
                    hull_distance, kkt_check, min_norm_over_multipliers,
                    modified_eps_kkt, sufficiency_thm_4_3, weak_gen_gradient)
 from miopt.certificates import CertificateError, PremiseError, nnls
@@ -586,6 +587,37 @@ def test_sufficiency_infeasible_point_raises_even_when_inexact():
     prob = make_problem(1, [INEXACT], ["0.5-u0"], [-1], [1])
     with pytest.raises(CertificateError, match="infeasible"):
         sufficiency_thm_4_3(prob, [0.0], 0.1, GridSpec(101))
+
+
+def test_sufficiency_exact_inconclusive_kkt_is_inconclusive(monkeypatch, quad_problem):
+    # an exact KKT report that refutes nothing certifies no failed hypothesis
+    real = miopt.certificates.kkt_check
+
+    def unrefuted(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), verdict="inconclusive")
+
+    monkeypatch.setattr(miopt.certificates, "kkt_check", unrefuted)
+    rep = sufficiency_thm_4_3(quad_problem, [0.0], 0.1, SPEC)
+    assert rep.kkt.exact and rep.kkt.verdict == "inconclusive"
+    assert rep.verdict == "inconclusive"
+    assert rep.gen_convex is None and rep.qm_confirmed is None
+
+
+def test_every_point_check_refuses_an_infeasible_point(abs_problem):
+    spec = GridSpec(41)
+    checks = [
+        lambda u: kkt_check(abs_problem, u),
+        lambda u: bcq_check(abs_problem, u),
+        lambda u: gen_convexity_check(abs_problem, u, feasible_grid(abs_problem, spec)),
+        lambda u: modified_eps_kkt(abs_problem, u, 0.1, spec),
+        lambda u: check_thm_3_3(abs_problem, u, 0.1, spec),
+        lambda u: eps_kkt_thm_4_1(abs_problem, u, [0.25, 0.25], 0.6, spec),
+        lambda u: approx_kkt_sequence(abs_problem, u, [[1.0], [0.5], [0.25]], [1.0, 0.25], spec),
+        lambda u: sufficiency_thm_4_3(abs_problem, u, 0.1, spec),
+    ]
+    for check in checks:
+        with pytest.raises(CertificateError, match=r"^point \[-0\.5\] is infeasible$"):
+            check([-0.5])
 
 
 def test_sufficiency_builds_each_subdifferential_twice(monkeypatch, convexity_problem):

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ from miopt import (Game, GameError, IVFunction, Player, eval_expr,
                    is_w_eps_ne_direct, is_w_eps_qne, is_w_eps_qne_direct,
                    parse_expr)
 from miopt.certificates import PremiseError
-from miopt.game import game_kkt, game_sufficiency, profile_feasible
+from miopt.game import first_deviation, game_kkt, game_sufficiency, profile_feasible
 
 
 def make_player(dim_total, objectives, constraints, box_lo, box_hi, ppd=None):
@@ -153,6 +154,36 @@ def test_two_code_paths_agree(quad_game, abs_game):
                 is_w_eps_ne_direct(game, profile, eps)
             assert is_w_eps_qne(game, profile, eps) == \
                 is_w_eps_qne_direct(game, profile, eps)
+
+
+def _first_direct_deviation(game, profile, eps, quasi):
+    for i in range(game.n_players):
+        dev = find_deviation(game, i, profile, eps, quasi)
+        if dev is not None:
+            return i, dev
+    return None
+
+
+def test_first_deviation_is_the_first_direct_deviation(quad_game, abs_game, constrained_game):
+    """The reduction query behind both predicates and game-verify returns
+    the player and strategy of the independent path's first deviation."""
+    lattices = [(quad_game, np.linspace(0, 1, 6)), (abs_game, np.linspace(0, 1, 6)),
+                (constrained_game, np.linspace(-1, 1, 5))]
+    outcomes = set()
+    for game, axis in lattices:
+        profiles = [p for p in itertools.product(axis, repeat=game.profile_dim)
+                    if profile_feasible(game, p)]
+        for profile, eps, quasi in itertools.product(profiles, (0.0, 0.01, 0.1), (False, True)):
+            got = first_deviation(game, profile, eps, quasi)
+            want = _first_direct_deviation(game, profile, eps, quasi)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got[0] == want[0]
+                assert np.array_equal(got[1], want[1])
+                outcomes.add(got[0])
+            else:
+                outcomes.add(None)
+    assert outcomes == {None, 0, 1}
 
 
 def test_game_kkt_interior_equilibrium(quad_game):

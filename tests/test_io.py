@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import miopt
-from miopt import Game, MIOProblem, eval_expr
+from miopt import Game, MIOProblem, eval_expr, find_deviation
 from miopt.cli import build_parser, main
 from miopt.io import (SchemaError, game_from_dict, load, problem_from_dict,
                       save, serialize)
@@ -378,9 +378,14 @@ def test_cli_infeasible_point_message_prints_plain_floats(tmp_path, capsys):
            "constraints": ["0.5-u0"], "box": {"lo": [-1], "hi": [1]}}
     path = tmp_path / "p.json"
     path.write_text(json.dumps(doc))
-    for command in ("kkt", "bcq"):
-        assert main([command, "--problem", str(path), "--point", "0"]) == 3
-        assert "error: point [0.0] is infeasible" in capsys.readouterr().err
+    # every command that takes a point refuses it with the one message;
+    # epskkt and seqkkt printed holds here (exit 0)
+    for argv in (["verify", "--concept=weak-min"], ["kkt"], ["bcq"], ["genconvex"],
+                 ["thm33", "--eps=0.1"], ["modkkt", "--eps=0.1"], ["sufficiency", "--eps=0.1"],
+                 ["epskkt", "--eps=0.25", "--delta=0.6"],
+                 ["seqkkt", "--xs=1;0.5;0.25", "--eps-seq=1,0.25"]):
+        assert main(argv[:1] + ["--problem", str(path), "--point", "0"] + argv[1:]) == 3, argv
+        assert capsys.readouterr().err == "error: point [0.0] is infeasible\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -410,11 +415,12 @@ def test_cli_game_verify_holds(quad_game_file, capsys):
     assert code == 0
 
 
-def test_cli_game_verify_reports_deviation(quad_game_file, capsys):
+def test_cli_game_verify_reports_deviation(quad_game_file, quad_game, capsys):
     code = main(["game-verify", "--game", quad_game_file, "--point", "0,1",
                  "--concept", "ne", "--eps", "0.01"])
     assert code == 1
-    assert "improving deviation: player 0" in capsys.readouterr().out
+    strategy = find_deviation(quad_game, 0, [0.0, 1.0], 0.01)
+    assert f"improving deviation: player 0 -> {strategy.tolist()}\n" in capsys.readouterr().out
 
 
 def test_cli_game_kkt(quad_game_file, tmp_path):
