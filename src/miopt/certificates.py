@@ -31,9 +31,9 @@ from typing import Sequence
 import numpy as np
 
 from .expr import Polytope, clarke_subdiff, eval_expr, eval_points, weak_gen_gradient
-from .grid import GridSpec, feasible_grid, point_dominated, value_table
+from .grid import GridSpec, feasible_grid, first_dominator, value_table
 from .problem import (CertificateError, MIOProblem, PremiseError, active_set, as_epsilon,
-                      distances, require_feasible, restrict_to_ball)
+                      distances, nonzero_epsilon, require_feasible, restrict_to_ball)
 
 DEFAULT_BCQ_TAU = 1e-6
 EPS = float(np.finfo(float).eps)
@@ -343,15 +343,15 @@ def eps_kkt_thm_4_1(problem: MIOProblem, u_bar, eps, delta: float,
                     spec: GridSpec) -> SearchOutcome:
     """Search the ball grid around a weak eps-minimal point for x_delta
     whose KKT residual fits inside the radius (1/delta) * max(eps)."""
-    earr = as_epsilon(eps, problem.n_objectives)
-    if not np.any(earr > 0):
-        raise ValueError("eps must be nonzero")
+    earr = nonzero_epsilon(eps, problem.n_objectives)
     if not delta > 0:
         raise ValueError("delta must be > 0")
     require_feasible(problem, u_bar)
     pts = feasible_grid(problem, spec)
-    if point_dominated(problem, value_table(problem, pts), u_bar, earr):
-        raise PremiseError("u_bar is not weak eps-minimal on the grid")
+    j = first_dominator(value_table(problem, pts), value_table(problem, [u_bar]), earr)
+    if j is not None:
+        raise PremiseError("u_bar is not weak eps-minimal on the grid: "
+                           f"grid point {pts[j].tolist()} dominates it")
     ball = restrict_to_ball(pts, u_bar, delta)
     for z in ball:
         if not bcq_check(problem, z).holds:
@@ -468,9 +468,7 @@ def sufficiency_thm_4_3(problem: MIOProblem, u_bar, eps, spec: GridSpec) -> Suff
     generalized convexity at u_bar; when both hold, the point must be
     weak eps-quasi-minimal on the grid.  A grid counterexample at that
     stage is an implementation bug and raises."""
-    earr = as_epsilon(eps, problem.n_objectives)
-    if not np.any(earr > 0):
-        raise ValueError("eps must be nonzero")
+    earr = nonzero_epsilon(eps, problem.n_objectives)
     require_feasible(problem, u_bar)
 
     # the grid every stage decides on; its table checks every interval first
@@ -487,7 +485,7 @@ def sufficiency_thm_4_3(problem: MIOProblem, u_bar, eps, spec: GridSpec) -> Suff
         verdict = "hypothesis-failed" if stage.verdict == "fails" else "inconclusive"
         return SufficiencyReport(verdict, kkt, gc, None)
 
-    if point_dominated(problem, table, u_bar, earr, quasi=True):
+    if first_dominator(table, value_table(problem, [u_bar]), earr, quasi=True) is not None:
         raise RuntimeError("sufficiency hypotheses hold but the grid refutes "
                            "quasi-minimality: implementation bug")
     return SufficiencyReport("holds", kkt, gc, True)
@@ -588,8 +586,11 @@ def approx_kkt_sequence(problem: MIOProblem, u_bar, xs: Sequence, eps_seq: Seque
     pts = feasible_grid(problem, spec)
     local_radius = float(np.max(distances(xs_arr, u_arr))) + float(np.sqrt(np.max(eps_arr)))
     local = restrict_to_ball(pts, u_arr, local_radius)
-    if point_dominated(problem, value_table(problem, local), u_arr):
-        raise PremiseError("u_bar is not locally weak minimal on the grid ball used")
+    j = first_dominator(value_table(problem, local), value_table(problem, [u_arr]),
+                        np.zeros(problem.n_objectives))
+    if j is not None:
+        raise PremiseError("u_bar is not locally weak minimal on the grid ball used: "
+                           f"grid point {local[j].tolist()} dominates it")
 
     inflate_radius = 0.0 if inflate is None else \
         float(np.max(as_epsilon(inflate, problem.n_objectives)))

@@ -119,15 +119,17 @@ def _cmd_verify(args, problem, spec):
     require_feasible(problem, args.point)
     pts = grid_mod.feasible_grid(problem, spec)
     takes_eps, quasi = _CONCEPTS[args.concept]
-    eps = 0.0
+    eps = np.zeros(problem.n_objectives)
     if takes_eps:
         if args.eps is None:
             raise UsageError(f"--eps is required for concept {args.concept}")
         eps = as_epsilon(_parse_vector(args.eps), problem.n_objectives)
-    table = grid_mod.value_table(problem, pts)
-    dominated = grid_mod.point_dominated(problem, table, args.point, eps, quasi)
-    verdict = "fails" if dominated else "holds"
-    return verdict, {"concept": args.concept, "point": args.point, "grid_size": len(pts)}
+    j = grid_mod.first_dominator(grid_mod.value_table(problem, pts),
+                                 grid_mod.value_table(problem, [args.point]), eps, quasi)
+    payload = {"concept": args.concept, "point": args.point, "grid_size": len(pts)}
+    if j is not None:
+        payload["dominator"] = pts[j]
+    return ("holds" if j is None else "fails"), payload
 
 
 def _cmd_exist(args, problem, spec):
@@ -434,7 +436,7 @@ def main(argv=None) -> int:
         return 3
 
     lines = [f"{args.command}: {verdict}"]
-    for key in ("residual", "threshold", "distance", "point", "x_delta", "x_eps"):
+    for key in ("residual", "threshold", "distance", "point", "x_delta", "x_eps", "dominator"):
         if key in report and report[key] is not None:
             lines.append(f"  {key}: {report[key]}")
     if "lambda" in report:

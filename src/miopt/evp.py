@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grid import GridSpec, ValueTable, dominated_by, feasible_grid, value_table
-from .problem import DescentError, MIOProblem, PremiseError, as_epsilon, distances
+from .problem import DescentError, MIOProblem, PremiseError, distances, nonzero_epsilon
 
 
 @dataclass
@@ -80,11 +80,6 @@ def _t_map(table: ValueTable, i: int, rate: float) -> np.ndarray:
     return mask
 
 
-def _check_eps(earr: np.ndarray) -> None:
-    if not float(np.sum(earr)) > 0:
-        raise ValueError("eps must be nonzero")
-
-
 def descent_eps_minimal(problem: MIOProblem, eps, spec: GridSpec,
                         start: Sequence[float] | None = None) -> tuple[np.ndarray, DescentTrace]:
     """Descend through A(u) = {z : sum F(z) + [0, sum eps] CW-dominates
@@ -92,8 +87,7 @@ def descent_eps_minimal(problem: MIOProblem, eps, spec: GridSpec,
     grid (per-objective domination implies sum domination).  The descent
     starts at ``start`` (a feasible grid point; by default the first one),
     which the trace's first iterate reports."""
-    earr = as_epsilon(eps, problem.n_objectives)
-    _check_eps(earr)
+    earr = nonzero_epsilon(eps, problem.n_objectives)
     table = _prepare(problem, spec)
     i, trace = _descent(table, earr, _start(table, start)[0])
     return table.points[i].copy(), trace
@@ -139,8 +133,7 @@ def evp_descent(problem: MIOProblem, eps, spec: GridSpec,
     scalar bound sqrt(eps).  x0 is a feasible grid point, by default the
     first one.
     """
-    earr = as_epsilon(eps, problem.n_objectives)
-    _check_eps(earr)
+    earr = nonzero_epsilon(eps, problem.n_objectives)
     table = _prepare(problem, spec)
     _, cert = _evp(table, earr, *_start(table, x0))
     return cert.point, cert
@@ -209,8 +202,7 @@ def quasi_existence(problem: MIOProblem, eps, spec: GridSpec) -> QuasiExistenceR
     """Run the descent chain then the Ekeland iteration; the result is
     grid-verified weak sqrt(eps)-quasi-minimal, with the extra ball
     check when eps is uniform."""
-    earr = as_epsilon(eps, problem.n_objectives)
-    _check_eps(earr)
+    earr = nonzero_epsilon(eps, problem.n_objectives)
     # one feasible grid and value table serve every stage
     table = _prepare(problem, spec)
     i0, d_trace = _descent(table, earr, 0)

@@ -14,10 +14,11 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .expr import Const, Expr, IVFunction, Var, eval_expr, substitute
-from .grid import (GridSpec, IntervalError, default_points_per_dim, dominators_of,
-                   endpoint_values, feasible_grid, feasible_rows, grid_points,
-                   objective_table, point_dominated, value_table)
-from .problem import DEFAULT_TOLERANCES, MIOProblem, PremiseError, Tolerances, as_epsilon, check_box
+from .grid import (GridSpec, IntervalError, default_points_per_dim, endpoint_values,
+                   feasible_grid, feasible_rows, first_dominator, grid_points, objective_table,
+                   value_table)
+from .problem import (DEFAULT_TOLERANCES, MIOProblem, PremiseError, Tolerances, as_epsilon,
+                      check_box, nonzero_epsilon)
 
 if TYPE_CHECKING:
     from .certificates import CertificateReport, SearchOutcome
@@ -192,9 +193,9 @@ def first_deviation(game: Game, u_bar, eps, quasi: bool = False):
         prob = fix_opponents(game, i, u_arr)
         table = value_table(prob, feasible_grid(prob, player_spec(game, i)))
         at_u = value_table(prob, [game.block(i, u_arr)])
-        hits = np.flatnonzero(dominators_of(table, at_u, as_epsilon(eps, prob.n_objectives), quasi))
-        if hits.size:
-            return i, table.points[hits[0]]
+        j = first_dominator(table, at_u, as_epsilon(eps, prob.n_objectives), quasi)
+        if j is not None:
+            return i, table.points[j]
     return None
 
 
@@ -217,8 +218,8 @@ def find_deviation(game: Game, i: int, u_bar, eps, quasi: bool = False):
     rows = feasible_rows(pl.constraints, profiles, game.tolerances.tau_feas)
     table = objective_table(pl.objectives, own[rows], profiles[rows])
     at_u = objective_table(pl.objectives, game.block(i, u_arr)[None, :], u_arr[None, :])
-    hits = np.flatnonzero(dominators_of(table, at_u, earr, quasi))
-    return own[rows[hits[0]]] if hits.size else None
+    j = first_dominator(table, at_u, earr, quasi)
+    return None if j is None else own[rows[j]]
 
 
 def is_w_eps_ne_direct(game: Game, u_bar, eps) -> bool:
@@ -250,8 +251,10 @@ def game_kkt(game: Game, u_bar, eps, mode: str = "thm_5_2",
              delta: float | None = None) -> list[PlayerOutcome]:
     """Per-player multiplier certificates at an equilibrium profile.
 
-    mode "thm_5_2": each player must be at a weak eps-quasi equilibrium;
-    runs kkt_check with the multiplier-dependent radius sum(lam_k*eps_k).
+    mode "thm_5_2": the profile must be a weak eps-quasi equilibrium, as
+    ``first_deviation(..., quasi=True)`` decides, whose deviation the
+    PremiseError names; runs kkt_check with the multiplier-dependent
+    radius sum(lam_k*eps_k).
     mode "thm_5_1": each player must be at a weak eps equilibrium; runs
     the ball-grid search with radius (1/delta)*max(eps).
     """
@@ -264,23 +267,20 @@ def game_kkt(game: Game, u_bar, eps, mode: str = "thm_5_2",
     if mode == "thm_5_1" and (delta is None or not delta > 0):
         raise GameError("mode thm_5_1 needs delta > 0")
 
+    earrs = [nonzero_epsilon(eps, len(pl.objectives)) for pl in game.players]
+    if mode == "thm_5_2":
+        dev = first_deviation(game, u_arr, eps, quasi=True)
+        if dev is not None:
+            raise PremiseError(f"player {dev[0]}: profile is not a weak eps-quasi equilibrium "
+                               f"on its grid: strategy {dev[1].tolist()} dominates it")
     outcomes = []
-    for i in range(game.n_players):
-        earr = as_epsilon(eps, len(game.players[i].objectives))
-        if not np.any(earr > 0):
-            raise ValueError("eps must be nonzero")
+    for i, earr in enumerate(earrs):
         prob = fix_opponents(game, i, u_arr)
-        spec = player_spec(game, i)
         ui = game.block(i, u_arr)
         if mode == "thm_5_2":
-            table = value_table(prob, feasible_grid(prob, spec))
-            if point_dominated(prob, table, ui, earr, quasi=True):
-                raise PremiseError(f"player {i}: profile is not a weak "
-                                   "eps-quasi equilibrium on its grid")
-            report = kkt_check(prob, ui, cor41_eps=earr)
-            outcomes.append(PlayerOutcome(player=i, report=report))
+            outcomes.append(PlayerOutcome(player=i, report=kkt_check(prob, ui, cor41_eps=earr)))
         else:
-            search = eps_kkt_thm_4_1(prob, ui, earr, delta, spec)
+            search = eps_kkt_thm_4_1(prob, ui, earr, delta, player_spec(game, i))
             outcomes.append(PlayerOutcome(player=i, search=search))
     return outcomes
 

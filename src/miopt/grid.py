@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .expr import Expr, IVFunction, eval_points
-from .problem import MIOProblem, as_epsilon, distances, require_feasible
+from .problem import MIOProblem, as_epsilon, distances, nonzero_epsilon, require_feasible
 
 GRID_CAP = 10**7
 MAX_DIM = 4
@@ -237,29 +237,20 @@ def dominated_by(table: ValueTable, i, eps: np.ndarray, j=slice(None), *,
     return np.all(shifted < vi if strict else shifted <= vi, axis=(-2, -1))
 
 
-def dominators_of(table: ValueTable, row: ValueTable, eps: np.ndarray,
-                  quasi: bool = False) -> np.ndarray:
-    """Mask of the rows of table that strictly CW-dominate the one row of
-    ``row`` after the handicap of ``dominated_by``.  That row need not be
-    in the table: it joins it as the last row, and ``dominated_by``
-    compares it with every other."""
+def first_dominator(table: ValueTable, row: ValueTable, eps: np.ndarray,
+                    quasi: bool = False) -> int | None:
+    """The index of the first row of table that strictly CW-dominates the
+    one row of ``row`` after the handicap of ``dominated_by``, or None.
+    That row need not be in the table: it joins it as the last row, and
+    ``dominated_by`` compares it with every other.  With eps = 0 a None
+    is weak minimality, otherwise weak eps- or weak eps-quasi-minimality
+    over the table's points, and a row index is the witness against it."""
     n = len(table.points)
     joined = ValueTable(np.vstack([table.points, row.points]),
                         np.hstack([table.centers, row.centers]),
                         np.hstack([table.widths, row.widths]))
-    return dominated_by(joined, n, eps, slice(0, n), quasi=quasi)
-
-
-def point_dominated(problem: MIOProblem, table: ValueTable, u: Sequence[float], eps=0.0,
-                    quasi: bool = False) -> bool:
-    """Whether some row of a value table of problem strictly CW-dominates
-    the point u, which need not be a grid point, after the handicap
-    [0, eps_k], or [0, eps_k * ||z - u||] when quasi.  With eps = 0 this
-    is the negation of weak minimality, otherwise of weak eps- or weak
-    eps-quasi-minimality, over the table's points.  The row of u is
-    evaluated like every table row, so an invalid interval at u raises."""
-    earr = as_epsilon(eps, problem.n_objectives)
-    return bool(np.any(dominators_of(table, value_table(problem, [u]), earr, quasi)))
+    hits = np.flatnonzero(dominated_by(joined, n, eps, slice(0, n), quasi=quasi))
+    return int(hits[0]) if hits.size else None
 
 
 def _any_dominator(table: ValueTable, rows: np.ndarray, cands: np.ndarray,
@@ -375,9 +366,7 @@ def check_thm_3_3(problem: MIOProblem, u_bar: Sequence[float], eps, spec: GridSp
     """Verify sum(F^c + F^w)(u) + sum(eps_k)||u - u_bar|| >= sum(F^c + F^w)(u_bar)
     over the feasible grid; on success also confirm the conclusion that
     u_bar is weak eps-quasi-minimal on the grid."""
-    earr = as_epsilon(eps, problem.n_objectives)
-    if not np.any(earr > 0):
-        raise ValueError("eps must be nonzero")
+    earr = nonzero_epsilon(eps, problem.n_objectives)
     require_feasible(problem, u_bar)
     table = value_table(problem, feasible_grid(problem, spec))
     u_arr = np.asarray(u_bar, dtype=float)
@@ -391,5 +380,5 @@ def check_thm_3_3(problem: MIOProblem, u_bar: Sequence[float], eps, spec: GridSp
         j = int(np.flatnonzero(bad)[0])
         return Thm33Verdict(False, table.points[j].tolist(), False)
     # conclusion: u_bar in QM(F, grid, eps)
-    ok = not np.any(dominators_of(table, bar, earr, quasi=True))
+    ok = first_dominator(table, bar, earr, quasi=True) is None
     return Thm33Verdict(True, None, ok)

@@ -106,6 +106,15 @@ def as_epsilon(eps, m: int) -> np.ndarray:
     return arr
 
 
+def nonzero_epsilon(eps, m: int) -> np.ndarray:
+    """``as_epsilon``, with some component > 0: the eps of Thms 3.3, 4.1
+    and 4.3, the EVP engines and ``game_kkt``."""
+    arr = as_epsilon(eps, m)
+    if not np.any(arr > 0):
+        raise ValueError("eps must be nonzero")
+    return arr
+
+
 def distances(points, u) -> np.ndarray:
     """Euclidean distance from u to each row of points (a 0-d array for a
     single point).  Every distance that decides a verdict comes from here:

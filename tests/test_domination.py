@@ -2,6 +2,7 @@
 the Prop 2.1 reports and the evp / Thm 3.3 post-verifications give the
 answers of an all-pairs scan and of the scalar ``problem.is_weak_*``."""
 
+import itertools
 import json
 
 import numpy as np
@@ -18,11 +19,11 @@ from miopt import (GridSpec, ValueTable, approx_kkt_sequence, check_prop_2_1, ch
                    sufficiency_thm_4_3, value_table)
 from miopt.certificates import CertificateError, eps_kkt_thm_4_1
 from miopt.cli import main
-from miopt.evp import DescentError
+from miopt.evp import DescentError, descent_eps_minimal
 from miopt.game import (find_deviation, game_kkt, game_sufficiency, is_w_eps_ne,
                         is_w_eps_ne_direct, is_w_eps_qne, is_w_eps_qne_direct)
-from miopt.grid import dominated, dominated_by, point_dominated
-from miopt.problem import feasible
+from miopt.grid import dominated, dominated_by, first_dominator
+from miopt.problem import _cw_at, _dominates, distances, feasible
 from .conftest import ABS_PROBLEM_JSON, make_problem
 
 
@@ -269,32 +270,48 @@ def test_thm_3_3_off_grid_point_equals_scalar_predicate():
         assert verdict.hypothesis_holds
         assert verdict.conclusion_verified == is_weak_eps_quasi_minimal(prob, [u], 10.0, pts)
         # the point query over the same grid gives the same answer
-        table = value_table(prob, pts)
-        assert verdict.conclusion_verified == \
-            (not point_dominated(prob, table, [u], 10.0, quasi=True))
+        row = first_dominator(value_table(prob, pts), value_table(prob, [[u]]), np.full(1, 10.0),
+                              quasi=True)
+        assert verdict.conclusion_verified == (row is None)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_point_query_equals_scalar_predicates(data):
+def point_query_case(data):
+    """A problem, a point u, candidates (every grid point, a subset of
+    them, or none), an eps and whether the handicap is quasi."""
     prob = data.draw(problems())
     spec = grid_spec(data.draw, prob)
     pts = feasible_grid(prob, spec)
     u = draw_point(data, prob, pts)
-    # every candidate, a subset of them, or none
     picks = data.draw(st.sampled_from(["all", "some", "none"]))
     if picks == "some" and len(pts):
         cands = [pts[k] for k in sorted(set(data.draw(
             st.lists(st.integers(0, len(pts) - 1), max_size=len(pts)))))]
     else:
         cands = pts if picks == "all" else []
-    eps = data.draw(epsilons(prob.n_objectives))
-    quasi = data.draw(st.booleans())
+    return prob, u, cands, data.draw(epsilons(prob.n_objectives)), data.draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_point_query_equals_scalar_predicates(data):
+    prob, u, cands, eps, quasi = point_query_case(data)
     scalar = is_weak_eps_quasi_minimal if quasi else is_weak_eps_minimal
-    table = value_table(prob, cands)
-    assert point_dominated(prob, table, u, eps, quasi) == (not scalar(prob, u, eps, cands))
+    table, at_u = value_table(prob, cands), value_table(prob, [u])
+    assert (first_dominator(table, at_u, eps, quasi) is None) == scalar(prob, u, eps, cands)
     if not np.any(eps):
-        assert point_dominated(prob, table, u) == (not is_weak_minimal(prob, u, cands))
+        zero = np.zeros(prob.n_objectives)
+        assert (first_dominator(table, at_u, zero) is None) == is_weak_minimal(prob, u, cands)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_point_query_returns_the_first_scalar_dominator(data):
+    prob, u, cands, eps, quasi = point_query_case(data)
+    u_cw = _cw_at(prob, u)
+    want = next((k for k, z in enumerate(cands)
+                 if _dominates(prob, z, u_cw, eps * float(distances(z, u)) if quasi else eps)),
+                None)
+    assert first_dominator(value_table(prob, cands), value_table(prob, [u]), eps, quasi) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -427,6 +444,27 @@ def test_premise_error_raised_by_every_module(quad_problem, quad_game):
             call()
         with pytest.raises(CertificateError):
             call()
+
+
+def test_all_zero_eps_is_refused_before_any_premise(quad_problem, quad_game):
+    """Every theorem that needs eps > 0 refuses an all-zero eps with one
+    message, also where the premise would fail: quad at 1 and the profile
+    (0, 1) are not minimal."""
+    spec = GridSpec(401)
+    calls = [
+        lambda e: check_thm_3_3(quad_problem, [1.0], e, spec),
+        lambda e: eps_kkt_thm_4_1(quad_problem, [1.0], e, 0.4, spec),
+        lambda e: sufficiency_thm_4_3(quad_problem, [1.0], e, spec),
+        lambda e: descent_eps_minimal(quad_problem, e, spec, [1.0]),
+        lambda e: evp_descent(quad_problem, e, spec, [1.0]),
+        lambda e: quasi_existence(quad_problem, e, spec),
+        lambda e: game_kkt(quad_game, [0.0, 1.0], e, mode="thm_5_2"),
+        lambda e: game_kkt(quad_game, [0.0, 1.0], e, mode="thm_5_1", delta=0.4),
+    ]
+    for call, eps in itertools.product(calls, (0.0, [0.0])):
+        with pytest.raises(ValueError, match="^eps must be nonzero$") as exc:
+            call(eps)
+        assert exc.type is ValueError
 
 
 # ---------------------------------------------------------------------------

@@ -164,16 +164,22 @@ def _first_direct_deviation(game, profile, eps, quasi):
     return None
 
 
+def _lattice_profiles(quad_game, abs_game, constrained_game):
+    """(game, profile) for the feasible profiles of a small lattice of each fixture game."""
+    lattices = [(quad_game, np.linspace(0, 1, 6)), (abs_game, np.linspace(0, 1, 6)),
+                (constrained_game, np.linspace(-1, 1, 5))]
+    for game, axis in lattices:
+        for profile in itertools.product(axis, repeat=game.profile_dim):
+            if profile_feasible(game, profile):
+                yield game, profile
+
+
 def test_first_deviation_is_the_first_direct_deviation(quad_game, abs_game, constrained_game):
     """The reduction query behind both predicates and game-verify returns
     the player and strategy of the independent path's first deviation."""
-    lattices = [(quad_game, np.linspace(0, 1, 6)), (abs_game, np.linspace(0, 1, 6)),
-                (constrained_game, np.linspace(-1, 1, 5))]
     outcomes = set()
-    for game, axis in lattices:
-        profiles = [p for p in itertools.product(axis, repeat=game.profile_dim)
-                    if profile_feasible(game, p)]
-        for profile, eps, quasi in itertools.product(profiles, (0.0, 0.01, 0.1), (False, True)):
+    for game, profile in _lattice_profiles(quad_game, abs_game, constrained_game):
+        for eps, quasi in itertools.product((0.0, 0.01, 0.1), (False, True)):
             got = first_deviation(game, profile, eps, quasi)
             want = _first_direct_deviation(game, profile, eps, quasi)
             assert (got is None) == (want is None)
@@ -184,6 +190,34 @@ def test_first_deviation_is_the_first_direct_deviation(quad_game, abs_game, cons
             else:
                 outcomes.add(None)
     assert outcomes == {None, 0, 1}
+
+
+def test_game_kkt_premise_is_the_equilibrium_query(quad_game, abs_game, constrained_game):
+    """Thm 5.2's premise is first_deviation(..., quasi=True): game_kkt names
+    the player and strategy that query returns, and runs where it returns None."""
+    players = set()
+    for game, profile in _lattice_profiles(quad_game, abs_game, constrained_game):
+        for eps in (0.01, 0.1):
+            dev = first_deviation(game, profile, eps, quasi=True)
+            if dev is None:
+                assert len(game_kkt(game, profile, eps)) == game.n_players
+                continue
+            with pytest.raises(PremiseError) as exc:
+                game_kkt(game, profile, eps)
+            assert str(exc.value) == (f"player {dev[0]}: profile is not a weak eps-quasi "
+                                      f"equilibrium on its grid: strategy {dev[1].tolist()} "
+                                      "dominates it")
+            players.add(dev[0])
+    assert players == {0, 1}
+
+
+def test_game_kkt_checks_every_players_eps_before_the_premise(constrained_game):
+    # player 0 (two objectives) deviates at this profile, but the eps
+    # vector does not fit player 1 (one objective)
+    profile, eps = [0.5, 0.0, 0.0], [0.01, 0.01]
+    assert first_deviation(constrained_game, profile, eps, quasi=True)[0] == 0
+    with pytest.raises(ValueError, match="^epsilon has 2 components, expected 1$"):
+        game_kkt(constrained_game, profile, eps)
 
 
 def test_game_kkt_interior_equilibrium(quad_game):

@@ -3,8 +3,11 @@ loading a problem or game file loads only the modules that loading runs,
 and the lazily resolved names are the objects the package has always
 exported."""
 
+import importlib
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -114,3 +117,14 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         miopt.nope
     assert miopt.cli is sys.modules["miopt.cli"]
+
+
+def test_readme_qualified_names_resolve():
+    """Every miopt.<module>.<name> that README.md names exists; a name
+    followed by * (``miopt.problem.is_weak_*``) is a pattern and is left out."""
+    readme = (pathlib.Path(SRC).parent / "README.md").read_text(encoding="utf-8")
+    names = set(re.findall(r"\bmiopt\.(\w+)\.(\w+)\b(?!\*)", readme))
+    assert ("grid", "first_dominator") in names
+    missing = [f"miopt.{mod}.{name}" for mod, name in sorted(names)
+               if not hasattr(importlib.import_module(f"miopt.{mod}"), name)]
+    assert missing == []

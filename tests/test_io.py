@@ -10,6 +10,7 @@ import pytest
 import miopt
 from miopt import Game, MIOProblem, eval_expr, find_deviation
 from miopt.cli import build_parser, main
+from miopt.game import first_deviation
 from miopt.io import (SchemaError, game_from_dict, load, problem_from_dict,
                       save, serialize)
 from .conftest import ABS_PROBLEM_JSON, QUAD_GAME_JSON
@@ -183,11 +184,31 @@ def quad_problem_file(tmp_path):
     return str(path)
 
 
-def test_cli_verify_fails(quad_problem_file, capsys):
+def test_cli_verify_fails(quad_problem_file, tmp_path, capsys):
+    report_path = tmp_path / "verify.json"
     code = main(["verify", "--problem", quad_problem_file,
-                 "--point", "1", "--concept", "weak-min"])
+                 "--point", "1", "--concept", "weak-min", "--json", str(report_path)])
     assert code == 1
-    assert "verify: fails" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "verify: fails" in out
+    # F(z) = [z^2, 3z^2] lies below F(1) in centre and width for |z| < 1:
+    # the witness is the first such grid point, -0.995
+    assert json.loads(report_path.read_text())["dominator"] == [-0.995]
+    assert "  dominator: [-0.995]\n" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    # eps 0.1 moves the first dominating grid point in from -0.995 to -0.97
+    (["epskkt", "--eps", "0.1", "--delta", "0.5"],
+     "u_bar is not weak eps-minimal on the grid: grid point [-0.97] dominates it"),
+    # the ball of radius 0.1 + sqrt(0.5) about 1 starts at grid point 0.195
+    (["seqkkt", "--xs", "0.9;1", "--eps-seq", "0.5"],
+     "u_bar is not locally weak minimal on the grid ball used: "
+     "grid point [0.19500000000000006] dominates it"),
+])
+def test_cli_grid_premise_names_its_dominator(quad_problem_file, capsys, argv, message):
+    assert main(argv + ["--problem", quad_problem_file, "--point", "1"]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_kkt_holds_at_minimum(abs_problem_file, tmp_path, capsys):
@@ -431,6 +452,15 @@ def test_cli_game_kkt(quad_game_file, tmp_path):
     report = json.loads(report_path.read_text())
     assert len(report["players"]) == 2
     assert all(p["residual"] <= 1e-8 for p in report["players"])
+
+
+def test_cli_game_kkt_premise_names_the_deviation(quad_game_file, quad_game, capsys):
+    code = main(["game-kkt", "--game", quad_game_file, "--point", "0,1", "--eps", "0.01"])
+    assert code == 3
+    player, strategy = first_deviation(quad_game, [0.0, 1.0], 0.01, quasi=True)
+    assert capsys.readouterr().err == (f"error: player {player}: profile is not a weak "
+                                       f"eps-quasi equilibrium on its grid: strategy "
+                                       f"{strategy.tolist()} dominates it\n")
 
 
 def test_cli_game_sufficiency(quad_game_file):
