@@ -49,6 +49,8 @@ def _start(table: ValueTable, u: Sequence[float] | None) -> tuple[int, Sequence[
     if u is None:
         return 0, table.points[0]
     u_arr = np.asarray(u, dtype=float)
+    if not np.all(np.isfinite(u_arr)):
+        raise DescentError(f"point {u_arr.tolist()} is not finite")
     dists = distances(table.points, u_arr)
     i = int(np.argmin(dists))
     if dists[i] > 1e-9:

@@ -3,7 +3,9 @@
 A game is verified, never solved: every equilibrium concept reduces to
 unilateral deviations, so each check is a per-player MIOP obtained by
 freezing the opponents' blocks.  Per-player grids are independent and
-the product grid is never formed.
+the product grid is never formed.  A query evaluates each player's
+objectives once, over its deviation profiles; ``fix_opponents`` serves
+only subdifferentials and Thm 4.3.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .expr import Const, Expr, IVFunction, Var, eval_expr, substitute
-from .grid import (GridSpec, IntervalError, default_points_per_dim, endpoint_values,
-                   feasible_grid, feasible_rows, first_dominator, grid_points, objective_table,
-                   value_table)
+from .grid import (GridSpec, IntervalError, ValueTable, default_points_per_dim, feasible_rows,
+                   first_dominator, grid_points, objective_table)
 from .problem import (DEFAULT_TOLERANCES, MIOProblem, PremiseError, Tolerances, as_epsilon,
                       check_box, nonzero_epsilon)
 
@@ -135,27 +136,37 @@ def profile_feasible(game: Game, u_bar: Sequence[float]) -> bool:
     return True
 
 
-def _checked_profile(game: Game, u_bar) -> np.ndarray:
-    """u_bar as an array, once it is a feasible profile at which every
-    player's objectives are valid intervals (finite, lower <= upper) over
-    that player's grid with the other blocks fixed at u_bar.  A problem
-    file gets the same interval check at load; a game cannot, since its
-    joint grid is the product of the players' grids."""
+def _checked_profile(game: Game, u_bar) -> tuple[np.ndarray, list]:
+    """(u_arr, checked): u_bar as an array, once it is a finite, feasible
+    profile at which every player's objectives are valid intervals (finite,
+    lower <= upper) over that player's grid with the other blocks fixed at
+    u_bar, and at u_bar itself.  checked[i] is (profiles, table): player
+    i's deviation profiles, and the table of its objectives at them and
+    then at u_bar, indexed by player i's block: the one evaluation that
+    every equilibrium query reads.  A problem file gets the same interval
+    check at load; a game cannot, since its joint grid is the product of
+    the players' grids."""
     u_arr = np.asarray(u_bar, dtype=float)
     if u_arr.shape != (game.profile_dim,):
         raise GameError(f"profile must have dimension {game.profile_dim}")
+    if not np.all(np.isfinite(u_arr)):
+        raise GameError(f"profile {u_arr.tolist()} is not finite")
     if not profile_feasible(game, u_arr):
         raise GameError("profile is infeasible for some player")
+    checked = []
     for i, pl in enumerate(game.players):
+        own, profiles = _deviations(game, i, u_arr)
         try:
-            endpoint_values(pl.objectives, _deviations(game, i, u_arr)[1])
+            table = objective_table(pl.objectives, np.vstack([own, game.block(i, u_arr)]),
+                                    np.vstack([profiles, u_arr]))
         except IntervalError as exc:
             raise GameError(f"player {i}: objective {exc.objective} invalid at "
                             f"profile {exc.point}: {exc.detail}") from exc
         except ArithmeticError as exc:
             raise GameError(f"player {i}: objectives cannot be evaluated on the "
                             f"player's grid: {exc}") from exc
-    return u_arr
+        checked.append((profiles, table))
+    return u_arr, checked
 
 
 def _deviations(game: Game, i: int, u_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -170,7 +181,7 @@ def _deviations(game: Game, i: int, u_arr: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 # ---------------------------------------------------------------------------
-# Equilibrium predicates: reduction path (canonical)
+# Equilibrium predicates: one evaluation of each player's deviations (canonical)
 # ---------------------------------------------------------------------------
 
 def is_w_eps_ne(game: Game, u_bar, eps) -> bool:
@@ -187,15 +198,22 @@ def is_w_eps_qne(game: Game, u_bar, eps) -> bool:
 def first_deviation(game: Game, u_bar, eps, quasi: bool = False):
     """(i, y): the first player i whose MIOP with the opponents frozen at
     u_bar has a grid point dominating u_i past the handicap, and the first
-    such point y; None at an equilibrium: the verdict and its witness at once."""
-    u_arr = _checked_profile(game, u_bar)
-    for i in range(game.n_players):
-        prob = fix_opponents(game, i, u_arr)
-        table = value_table(prob, feasible_grid(prob, player_spec(game, i)))
-        at_u = value_table(prob, [game.block(i, u_arr)])
-        j = first_dominator(table, at_u, as_epsilon(eps, prob.n_objectives), quasi)
+    such point y; None at an equilibrium: the verdict and its witness at once.
+    Each player is decided on the values ``_checked_profile`` computed."""
+    return _first_deviation(game, _checked_profile(game, u_bar)[1], eps, quasi)
+
+
+def _first_deviation(game: Game, checked, eps, quasi: bool):
+    """``first_deviation`` on the values of ``_checked_profile``: player
+    i's grid is its feasible deviation rows, and the table's last row is u_i."""
+    for i, (profiles, table) in enumerate(checked):
+        pl = game.players[i]
+        rows = feasible_rows(pl.constraints, profiles, game.tolerances.tau_feas)
+        grid = ValueTable(table.points[rows], table.centers[:, rows], table.widths[:, rows])
+        at_u = ValueTable(table.points[-1:], table.centers[:, -1:], table.widths[:, -1:])
+        j = first_dominator(grid, at_u, as_epsilon(eps, len(pl.objectives)), quasi)
         if j is not None:
-            return i, table.points[j]
+            return i, grid.points[j]
     return None
 
 
@@ -231,7 +249,7 @@ def is_w_eps_qne_direct(game: Game, u_bar, eps) -> bool:
 
 
 def _no_deviation(game: Game, u_bar, eps, quasi: bool) -> bool:
-    u_arr = _checked_profile(game, u_bar)
+    u_arr = _checked_profile(game, u_bar)[0]
     return all(find_deviation(game, i, u_arr, eps, quasi) is None
                for i in range(game.n_players))
 
@@ -261,7 +279,7 @@ def game_kkt(game: Game, u_bar, eps, mode: str = "thm_5_2",
     # imported here: loading a game file needs no certificate code
     from .certificates import eps_kkt_thm_4_1, kkt_check
 
-    u_arr = _checked_profile(game, u_bar)
+    u_arr, checked = _checked_profile(game, u_bar)
     if mode not in ("thm_5_1", "thm_5_2"):
         raise GameError(f"unknown mode {mode!r}")
     if mode == "thm_5_1" and (delta is None or not delta > 0):
@@ -269,7 +287,7 @@ def game_kkt(game: Game, u_bar, eps, mode: str = "thm_5_2",
 
     earrs = [nonzero_epsilon(eps, len(pl.objectives)) for pl in game.players]
     if mode == "thm_5_2":
-        dev = first_deviation(game, u_arr, eps, quasi=True)
+        dev = _first_deviation(game, checked, eps, quasi=True)
         if dev is not None:
             raise PremiseError(f"player {dev[0]}: profile is not a weak eps-quasi equilibrium "
                                f"on its grid: strategy {dev[1].tolist()} dominates it")
@@ -295,13 +313,13 @@ class GameSufficiencyReport:
 def game_sufficiency(game: Game, u_bar, eps) -> GameSufficiencyReport:
     """Thm 4.3 per player: ``sufficiency_thm_4_3`` on each player's MIOP
     with the opponents fixed at u_bar, over that player's grid.  A player
-    holds only after its grid check, the one ``is_w_eps_qne`` makes for
-    it (a counterexample there raises), so when every player holds the
+    holds only after its grid check, which asks what ``is_w_eps_qne`` asks
+    of it (a counterexample there raises), so when every player holds the
     profile is a weak eps-quasi equilibrium.  The verdict is ``inconclusive`` if some player's is,
     else ``hypothesis-failed`` if some player's is, else ``holds``."""
     from .certificates import sufficiency_thm_4_3
 
-    u_arr = _checked_profile(game, u_bar)
+    u_arr = _checked_profile(game, u_bar)[0]
     per_player, verdicts = [], set()
     for i in range(game.n_players):
         earr = as_epsilon(eps, len(game.players[i].objectives))

@@ -130,9 +130,13 @@ def feasible(problem: MIOProblem, u: Sequence[float]) -> bool:
 
 
 def require_feasible(problem: MIOProblem, u: Sequence[float]) -> None:
-    """Every check at a point takes the point in S as its premise."""
+    """Every check at a point takes the point in S as its premise, and
+    a point with a non-finite coordinate is in no S."""
+    u_arr = np.asarray(u, dtype=float)
+    if not np.all(np.isfinite(u_arr)):
+        raise CertificateError(f"point {u_arr.tolist()} is not finite")
     if not feasible(problem, u):
-        raise CertificateError(f"point {np.asarray(u, dtype=float).tolist()} is infeasible")
+        raise CertificateError(f"point {u_arr.tolist()} is infeasible")
 
 
 def active_set(problem: MIOProblem, u: Sequence[float]) -> tuple[int, ...]:

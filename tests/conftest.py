@@ -1,8 +1,13 @@
 import json
 
 import pytest
+from hypothesis import settings
 
 from miopt import IVFunction, MIOProblem, parse_expr
+
+# a failing hypothesis test prints the @reproduce_failure blob of its draw
+settings.register_profile("miopt", print_blob=True)
+settings.load_profile("miopt")
 
 
 def make_problem(dim, objectives, constraints, box_lo, box_hi, name=""):

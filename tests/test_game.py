@@ -318,6 +318,25 @@ def _count_calls(monkeypatch, name: str) -> list:
     return calls
 
 
+@pytest.mark.parametrize("query", [is_w_eps_ne, is_w_eps_qne, first_deviation])
+def test_equilibrium_queries_evaluate_each_player_once(monkeypatch, constrained_game, query):
+    counts = {name: _count_calls(monkeypatch, name)
+              for name in ("fix_opponents", "endpoint_values", "feasible_grid", "value_table")}
+    query(constrained_game, [0.5, 0.0, 0.0], 0.01)
+    assert {name: len(calls) for name, calls in counts.items()} == \
+        {"fix_opponents": 0, "endpoint_values": 2, "feasible_grid": 0, "value_table": 0}
+
+
+def test_game_kkt_checks_the_profile_once(monkeypatch, quad_game):
+    counts = {name: _count_calls(monkeypatch, name)
+              for name in ("fix_opponents", "_checked_profile", "endpoint_values")}
+    game_kkt(quad_game, [0.5, 0.5], 0.1)
+    # thm_5_2 reads its premise from the checked values: one problem per
+    # player, for its subdifferentials, and no second evaluation
+    assert {name: len(calls) for name, calls in counts.items()} == \
+        {"fix_opponents": 2, "_checked_profile": 1, "endpoint_values": 2}
+
+
 def test_game_sufficiency_builds_each_player_problem_and_grid_once(monkeypatch, quad_game):
     counts = {name: _count_calls(monkeypatch, name)
               for name in ("fix_opponents", "weak_gen_gradient", "feasible_grid")}
@@ -392,50 +411,69 @@ def test_game_sufficiency_needs_no_exact_inactive_constraint(superset_game):
 # Interval validity on each player's grid
 # ---------------------------------------------------------------------------
 
-def _game_doc(lower, upper, lo, hi):
+def _game_doc(lower, upper, lo, hi, points=21):
     """A two-player game whose player-0 objective is [lower, upper]."""
     return {"players": [
         {"dim": 1, "objectives": [{"lower": lower, "upper": upper}],
-         "box": {"lo": [lo], "hi": [hi]}, "grid": {"points_per_dim": 21}},
+         "box": {"lo": [lo], "hi": [hi]}, "grid": {"points_per_dim": points}},
         {"dim": 1, "objectives": [{"lower": "(u1-u0)^2", "upper": "3*(u1-u0)^2"}],
          "box": {"lo": [lo], "hi": [hi]}, "grid": {"points_per_dim": 21}}]}
 
 
 INVALID_GAMES = [
     # lower > upper everywhere; the first point of player 0's grid names it
-    (_game_doc("u0+1", "u0", 0, 1), r"objective 0 invalid at profile \[0\.0, 0\.0\]: "
-                                    r"lower 1\.0 > upper 0\.0"),
+    (_game_doc("u0+1", "u0", 0, 1), [0.0, 0.0],
+     r"objective 0 invalid at profile \[0\.0, 0\.0\]: lower 1\.0 > upper 0\.0"),
     # overflows to inf on player 0's grid, not at the queried profile
-    (_game_doc("u0^200*1e300", "u0^200*1e300+1", -3, 3),
+    (_game_doc("u0^200*1e300", "u0^200*1e300+1", -3, 3), [0.0, 0.0],
      r"objective 0 invalid at profile \[-3\.0, 0\.0\]: non-finite endpoint"),
     # Python's float power raises instead of overflowing
-    (_game_doc("u0^2000", "u0^2000+1", -3, 3), "cannot be evaluated on the player's grid"),
+    (_game_doc("u0^2000", "u0^2000+1", -3, 3), [0.0, 0.0],
+     "objectives cannot be evaluated on the player's grid"),
+    # valid on player 0's 11-point grid, inverted only at the queried
+    # u0 = 0.35 between two of its points
+    (_game_doc("1.01 - 1000*(u0-0.35)^2", "1", 0, 1, points=11), [0.35, 0.5],
+     r"objective 0 invalid at profile \[0\.35, 0\.5\]: lower 1\.01 > upper 1\.0"),
 ]
-INVALID_IDS = ["inverted", "overflow", "power-overflow"]
+INVALID_IDS = ["inverted", "overflow", "power-overflow", "off-grid-profile"]
 
 
-@pytest.mark.parametrize("doc, message", INVALID_GAMES, ids=INVALID_IDS)
-def test_invalid_player_interval_rejected_before_any_verdict(doc, message):
+@pytest.mark.parametrize("doc, profile, message", INVALID_GAMES, ids=INVALID_IDS)
+def test_invalid_player_interval_rejected_before_any_verdict(doc, profile, message):
     from miopt.io import game_from_dict
 
     game = game_from_dict(doc)
-    for check in (is_w_eps_ne, is_w_eps_qne, is_w_eps_ne_direct, is_w_eps_qne_direct,
-                  game_kkt, game_sufficiency):
-        with pytest.raises(GameError, match=f"player 0: .*{message}"):
-            check(game, [0.0, 0.0], 0.1)
+    for check in (is_w_eps_ne, is_w_eps_qne, first_deviation, is_w_eps_ne_direct,
+                  is_w_eps_qne_direct, game_kkt, game_sufficiency):
+        with pytest.raises(GameError, match=f"^player 0: {message}"):
+            check(game, profile, 0.1)
 
 
-@pytest.mark.parametrize("doc, message", INVALID_GAMES, ids=INVALID_IDS)
+@pytest.mark.parametrize("doc, profile, message", INVALID_GAMES, ids=INVALID_IDS)
 @pytest.mark.parametrize("argv", [["game-verify", "--concept=ne"], ["game-verify", "--concept=qne"],
                                   ["game-kkt"], ["game-sufficiency"]],
                          ids=["ne", "qne", "kkt", "sufficiency"])
-def test_cli_invalid_player_interval_exits_3(tmp_path, capsys, doc, message, argv):
+def test_cli_invalid_player_interval_exits_3(tmp_path, capsys, doc, profile, message, argv):
     from miopt.cli import main
 
     path = tmp_path / "game.json"
     path.write_text(json.dumps(doc))
-    assert main(argv + ["--game", str(path), "--point=0,0", "--eps=0.1"]) == 3
+    point = ",".join(map(str, profile))
+    assert main(argv + ["--game", str(path), f"--point={point}", "--eps=0.1"]) == 3
     assert "player 0" in capsys.readouterr().err
+
+
+def test_interval_check_covers_the_rows_a_constraint_cuts():
+    # player 0's objective is inverted only where u0 > 0.75, which its
+    # constraint cuts from its feasible grid
+    p0 = make_player(2, [("(u0-u1)^2 + max(u0 - 0.75, 0)", "(u0-u1)^2")], ["u0 - 0.75"],
+                     [0.0], [1.0], ppd=11)
+    p1 = make_player(2, [("(u1-u0)^2", "(u1-u0)^2 + 1")], [], [0.0], [1.0], ppd=11)
+    game = Game(players=(p0, p1))
+    for check in (is_w_eps_ne, is_w_eps_qne, first_deviation, is_w_eps_ne_direct,
+                  is_w_eps_qne_direct, game_kkt, game_sufficiency):
+        with pytest.raises(GameError, match=r"^player 0: objective 0 invalid at profile \[0\.8, "):
+            check(game, [0.5, 0.5], 0.1)
 
 
 def test_interval_check_fixes_the_other_blocks_at_the_profile():

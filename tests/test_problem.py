@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -148,6 +149,45 @@ def test_eps_monotonicity(quad_problem):
 def test_nan_fails_the_range_checks(abs_problem, call):
     with pytest.raises(ValueError):
         call(abs_problem)
+
+
+def _flat_problem():
+    """[(u0-0.5)^2, (u0-0.5)^2+1] on [0, 1]^2, unconstrained."""
+    return make_problem(2, [("(u0-0.5)^2", "(u0-0.5)^2+1")], [], [0.0, 0.0], [1.0, 1.0])
+
+
+def _constant_player_game():
+    from miopt.io import game_from_dict
+
+    return game_from_dict({"players": [
+        {"dim": 1, "objectives": [{"lower": "(u0-0.5)^2", "upper": "(u0-0.5)^2+1"}],
+         "box": {"lo": [0], "hi": [1]}, "grid": {"points_per_dim": 11}},
+        {"dim": 1, "objectives": [{"lower": "1", "upper": "2"}],
+         "box": {"lo": [0], "hi": [1]}, "grid": {"points_per_dim": 11}}]})
+
+
+@pytest.mark.parametrize("call, error, point", [
+    (lambda: miopt.check_thm_3_3(_flat_problem(), [0.5, np.nan], 0.1, GridSpec(11)),
+     miopt.CertificateError, "point [0.5, nan]"),
+    (lambda: miopt.eps_kkt_thm_4_1(_flat_problem(), [0.5, np.nan], 0.1, 0.5, GridSpec(11)),
+     miopt.CertificateError, "point [0.5, nan]"),
+    (lambda: miopt.kkt_check(_flat_problem(), [np.inf, 0.5]),
+     miopt.CertificateError, "point [inf, 0.5]"),
+    (lambda: miopt.descent_eps_minimal(make_problem(1, [("u0^2", "3*u0^2")], [], [-1.0], [1.0]),
+                                       0.1, GridSpec(11), start=[np.nan]),
+     miopt.DescentError, "point [nan]"),
+    (lambda: miopt.evp_descent(make_problem(1, [("u0^2", "3*u0^2")], [], [-1.0], [1.0]),
+                               0.1, GridSpec(11), x0=[np.nan]),
+     miopt.DescentError, "point [nan]"),
+    (lambda: miopt.is_w_eps_ne(_constant_player_game(), [0.5, np.nan], 0.1),
+     miopt.GameError, "profile [0.5, nan]"),
+], ids=["thm33", "epskkt", "kkt", "descent", "evp", "game"])
+def test_non_finite_point_is_refused_by_name(call, error, point):
+    # each of these computed a verdict from NaN before: a NaN distance
+    # passes the feasibility and on-grid tests, and a NaN value dominates
+    # and is dominated by nothing
+    with pytest.raises(error, match=f"^{re.escape(point)} is not finite$"):
+        call()
 
 
 def test_restrict_to_ball():
