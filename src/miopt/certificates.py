@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .expr import Polytope, clarke_subdiff, eval_expr, eval_points, weak_gen_gradient
-from .grid import GridSpec, feasible_grid, first_dominator, value_table
+from .grid import GridSpec, ValueTable, feasible_grid, first_dominator, value_table
 from .problem import (CertificateError, MIOProblem, PremiseError, active_set, as_epsilon,
                       distances, nonzero_epsilon, require_feasible, restrict_to_ball)
 
@@ -52,12 +52,13 @@ def nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, int]:
     the residual, if positively; it is refused when its least-squares
     coefficient is not positive.  Every accepted step lowers the
     residual, so no passive set repeats and the loop ends; in floating
-    point up to n steps in a row may leave it equal instead (a gain below
-    its rounding that later steps can realize).  A^T (f - A x) rounds
-    relative to ||f||: if its best entry is within that rounding of 0 and
-    ||r|| above it, it is recomputed once from a basis of r's subspace,
-    which rounds relative to ||r||.  A QR refit on the unscaled columns
-    of the final support (not counted) ends the solve."""
+    point up to n steps in a row may leave it equal or above it by its
+    rounding instead (a gain below the rounding can still turn the
+    residual's direction).  A^T (f - A x) rounds relative to ||f||: if
+    its best entry is within that rounding of 0 and ||r|| above it, it is
+    recomputed once from a basis of r's subspace, which rounds relative
+    to ||r||.  A QR refit on the unscaled columns of the final support
+    (not counted) ends the solve."""
     n = E.shape[1]
     norms = np.sqrt((E * E).sum(axis=0))
     norms[norms == 0.0] = 1.0
@@ -98,8 +99,8 @@ def nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, int]:
             solves += 1
         r = f - A @ z
         rr = float(r @ r)
-        ties = ties + 1 if rr == best else 0
-        if not rr <= best or ties > n:
+        ties = ties + 1 if rr >= best else 0
+        if not rr <= best + 2.0 * floor * math.sqrt(best) or ties > n:
             break
         x, passive, best, dual = z, trial, rr, A.T @ r
         tol, recomputed = floor, False
@@ -347,12 +348,17 @@ def eps_kkt_thm_4_1(problem: MIOProblem, u_bar, eps, delta: float,
     if not delta > 0:
         raise ValueError("delta must be > 0")
     require_feasible(problem, u_bar)
-    pts = feasible_grid(problem, spec)
-    j = first_dominator(value_table(problem, pts), value_table(problem, [u_bar]), earr)
+    table = value_table(problem, np.vstack([feasible_grid(problem, spec), u_bar]))
+    return _eps_kkt(problem, table, earr, delta)
+
+
+def _eps_kkt(problem: MIOProblem, table: ValueTable, earr, delta: float) -> SearchOutcome:
+    """``eps_kkt_thm_4_1`` on the table of the grid with u_bar as its last row."""
+    j = first_dominator(table, earr)
     if j is not None:
         raise PremiseError("u_bar is not weak eps-minimal on the grid: "
-                           f"grid point {pts[j].tolist()} dominates it")
-    ball = restrict_to_ball(pts, u_bar, delta)
+                           f"grid point {table.points[j].tolist()} dominates it")
+    ball = restrict_to_ball(table.points[:-1], table.points[-1], delta)
     for z in ball:
         if not bcq_check(problem, z).holds:
             raise PremiseError(f"BCQ fails at grid point {z.tolist()} inside the ball")
@@ -404,11 +410,15 @@ def gen_convexity_check(problem: MIOProblem, u0, samples: Sequence) -> GenConvex
     come from exact polytopes; otherwise it is stalled.
     Values come from one value table, so an invalid interval at a sample
     or at u0 raises IntervalError."""
-    tol = problem.tolerances.tau_solver
     require_feasible(problem, u0)
-    u0_arr = np.asarray(u0, dtype=float)
     pts = np.asarray(samples, dtype=float).reshape(len(samples), problem.dim)
+    return _gen_convexity(problem, value_table(problem, np.vstack([pts, u0])))
 
+
+def _gen_convexity(problem: MIOProblem, table: ValueTable) -> GenConvexReport:
+    """``gen_convexity_check`` on the table of the samples with u0 as its last row."""
+    tol = problem.tolerances.tau_solver
+    at, pts, u0_arr = table.points, table.points[:-1], table.points[-1]
     polys = [weak_gen_gradient(f, u0_arr) for f in problem.objectives] + \
             [clarke_subdiff(g, u0_arr) for g in problem.constraints]
     a = np.array([g for p in polys for g in p.generators], dtype=float)
@@ -417,8 +427,6 @@ def gen_convexity_check(problem: MIOProblem, u0, samples: Sequence) -> GenConvex
     exact_rows = np.array([p.exact for p in polys], dtype=bool)[owner]
 
     # column -1 is u0
-    at = np.vstack([pts, u0_arr])
-    table = value_table(problem, at)
     c, w = table.centers, table.widths
     g = np.array([eval_points(e, at) for e in problem.constraints]).reshape(-1, len(at))
     rhs = np.vstack([c[:, :-1] - c[:, -1:] + w[:, :-1] - w[:, -1:], g[:, :-1] - g[:, -1:]])
@@ -470,22 +478,25 @@ def sufficiency_thm_4_3(problem: MIOProblem, u_bar, eps, spec: GridSpec) -> Suff
     stage is an implementation bug and raises."""
     earr = nonzero_epsilon(eps, problem.n_objectives)
     require_feasible(problem, u_bar)
-
     # the grid every stage decides on; its table checks every interval first
-    pts = feasible_grid(problem, spec)
-    table = value_table(problem, pts)
-    kkt = kkt_check(problem, u_bar, cor41_eps=earr)
+    table = value_table(problem, np.vstack([feasible_grid(problem, spec), u_bar]))
+    return _sufficiency(problem, table, earr)
+
+
+def _sufficiency(problem: MIOProblem, table: ValueTable, earr) -> SufficiencyReport:
+    """``sufficiency_thm_4_3`` on the table of the grid with u_bar as its last row."""
+    kkt = kkt_check(problem, table.points[-1], cor41_eps=earr)
     if not kkt.exact:
         return SufficiencyReport("inconclusive", None, None, None)
     # a hypothesis fails only where a stage certifies it: a separating
     # witness for the KKT check, a Farkas vector for generalized convexity
-    gc = gen_convexity_check(problem, u_bar, pts) if kkt.holds else None
+    gc = _gen_convexity(problem, table) if kkt.holds else None
     stage = kkt if gc is None else gc
     if not stage.holds:
         verdict = "hypothesis-failed" if stage.verdict == "fails" else "inconclusive"
         return SufficiencyReport(verdict, kkt, gc, None)
 
-    if first_dominator(table, value_table(problem, [u_bar]), earr, quasi=True) is not None:
+    if first_dominator(table, earr, quasi=True) is not None:
         raise RuntimeError("sufficiency hypotheses hold but the grid refutes "
                            "quasi-minimality: implementation bug")
     return SufficiencyReport("holds", kkt, gc, True)
@@ -586,7 +597,7 @@ def approx_kkt_sequence(problem: MIOProblem, u_bar, xs: Sequence, eps_seq: Seque
     pts = feasible_grid(problem, spec)
     local_radius = float(np.max(distances(xs_arr, u_arr))) + float(np.sqrt(np.max(eps_arr)))
     local = restrict_to_ball(pts, u_arr, local_radius)
-    j = first_dominator(value_table(problem, local), value_table(problem, [u_arr]),
+    j = first_dominator(value_table(problem, np.vstack([local, u_arr])),
                         np.zeros(problem.n_objectives))
     if j is not None:
         raise PremiseError("u_bar is not locally weak minimal on the grid ball used: "

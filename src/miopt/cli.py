@@ -124,8 +124,8 @@ def _cmd_verify(args, problem, spec):
         if args.eps is None:
             raise UsageError(f"--eps is required for concept {args.concept}")
         eps = as_epsilon(_parse_vector(args.eps), problem.n_objectives)
-    j = grid_mod.first_dominator(grid_mod.value_table(problem, pts),
-                                 grid_mod.value_table(problem, [args.point]), eps, quasi)
+    j = grid_mod.first_dominator(grid_mod.value_table(problem, np.vstack([pts, args.point])),
+                                 eps, quasi)
     payload = {"concept": args.concept, "point": args.point, "grid_size": len(pts)}
     if j is not None:
         payload["dominator"] = pts[j]

@@ -54,7 +54,7 @@ def _start(table: ValueTable, u: Sequence[float] | None) -> tuple[int, Sequence[
     dists = distances(table.points, u_arr)
     i = int(np.argmin(dists))
     if dists[i] > 1e-9:
-        raise DescentError(f"point {list(u_arr)} is not on the feasible grid "
+        raise DescentError(f"point {u_arr.tolist()} is not on the feasible grid "
                            f"(nearest grid point at distance {dists[i]:.3g})")
     return i, u
 

@@ -689,7 +689,8 @@ class IVFunction:
         lo = eval_expr(self.lower, u)
         hi = eval_expr(self.upper, u)
         if lo > hi:
-            raise ValueError(f"IVF invalid at {list(u)}: lower {lo} > upper {hi}")
+            at = np.asarray(u, dtype=float).tolist()
+            raise ValueError(f"IVF invalid at {at}: lower {lo} > upper {hi}")
         return Interval(lo, hi)
 
     def center(self, u: Sequence[float]) -> float:

@@ -3,9 +3,9 @@
 A game is verified, never solved: every equilibrium concept reduces to
 unilateral deviations, so each check is a per-player MIOP obtained by
 freezing the opponents' blocks.  Per-player grids are independent and
-the product grid is never formed.  A query evaluates each player's
-objectives once, over its deviation profiles; ``fix_opponents`` serves
-only subdifferentials and Thm 4.3.
+the product grid is never formed.  Every query evaluates each player's
+objectives once, into a table of its feasible rows with its strategy
+last; ``fix_opponents`` serves only subdifferentials and BCQ.
 """
 
 from __future__ import annotations
@@ -136,16 +136,15 @@ def profile_feasible(game: Game, u_bar: Sequence[float]) -> bool:
     return True
 
 
-def _checked_profile(game: Game, u_bar) -> tuple[np.ndarray, list]:
-    """(u_arr, checked): u_bar as an array, once it is a finite, feasible
+def _checked_profile(game: Game, u_bar) -> tuple[np.ndarray, list[ValueTable]]:
+    """(u_arr, tables): u_bar as an array, once it is a finite, feasible
     profile at which every player's objectives are valid intervals (finite,
-    lower <= upper) over that player's grid with the other blocks fixed at
-    u_bar, and at u_bar itself.  checked[i] is (profiles, table): player
-    i's deviation profiles, and the table of its objectives at them and
-    then at u_bar, indexed by player i's block: the one evaluation that
-    every equilibrium query reads.  A problem file gets the same interval
-    check at load; a game cannot, since its joint grid is the product of
-    the players' grids."""
+    lower <= upper) over that player's whole grid with the other blocks
+    fixed at u_bar, and at u_bar itself.  tables[i], indexed by player i's
+    block, holds its feasible grid rows and then u_i, valued at the
+    deviation profiles and at u_bar: the one evaluation every game query
+    reads.  A problem file gets the same interval check at load; a game
+    cannot, since its joint grid is the product of the players' grids."""
     u_arr = np.asarray(u_bar, dtype=float)
     if u_arr.shape != (game.profile_dim,):
         raise GameError(f"profile must have dimension {game.profile_dim}")
@@ -166,7 +165,9 @@ def _checked_profile(game: Game, u_bar) -> tuple[np.ndarray, list]:
             raise GameError(f"player {i}: objectives cannot be evaluated on the "
                             f"player's grid: {exc}") from exc
         checked.append((profiles, table))
-    return u_arr, checked
+    tau = game.tolerances.tau_feas
+    return u_arr, [t.take(np.append(feasible_rows(pl.constraints, p, tau), len(p)))
+                   for pl, (p, t) in zip(game.players, checked)]
 
 
 def _deviations(game: Game, i: int, u_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -199,21 +200,16 @@ def first_deviation(game: Game, u_bar, eps, quasi: bool = False):
     """(i, y): the first player i whose MIOP with the opponents frozen at
     u_bar has a grid point dominating u_i past the handicap, and the first
     such point y; None at an equilibrium: the verdict and its witness at once.
-    Each player is decided on the values ``_checked_profile`` computed."""
+    Each player is decided on its table from ``_checked_profile``."""
     return _first_deviation(game, _checked_profile(game, u_bar)[1], eps, quasi)
 
 
-def _first_deviation(game: Game, checked, eps, quasi: bool):
-    """``first_deviation`` on the values of ``_checked_profile``: player
-    i's grid is its feasible deviation rows, and the table's last row is u_i."""
-    for i, (profiles, table) in enumerate(checked):
-        pl = game.players[i]
-        rows = feasible_rows(pl.constraints, profiles, game.tolerances.tau_feas)
-        grid = ValueTable(table.points[rows], table.centers[:, rows], table.widths[:, rows])
-        at_u = ValueTable(table.points[-1:], table.centers[:, -1:], table.widths[:, -1:])
-        j = first_dominator(grid, at_u, as_epsilon(eps, len(pl.objectives)), quasi)
+def _first_deviation(game: Game, tables, eps, quasi: bool):
+    """``first_deviation`` on the tables of ``_checked_profile``."""
+    for i, table in enumerate(tables):
+        j = first_dominator(table, as_epsilon(eps, len(game.players[i].objectives)), quasi)
         if j is not None:
-            return i, grid.points[j]
+            return i, table.points[j]
     return None
 
 
@@ -234,9 +230,9 @@ def find_deviation(game: Game, i: int, u_bar, eps, quasi: bool = False):
     earr = as_epsilon(eps, len(pl.objectives))
     own, profiles = _deviations(game, i, u_arr)
     rows = feasible_rows(pl.constraints, profiles, game.tolerances.tau_feas)
-    table = objective_table(pl.objectives, own[rows], profiles[rows])
-    at_u = objective_table(pl.objectives, game.block(i, u_arr)[None, :], u_arr[None, :])
-    j = first_dominator(table, at_u, earr, quasi)
+    table = objective_table(pl.objectives, np.vstack([own[rows], game.block(i, u_arr)]),
+                            np.vstack([profiles[rows], u_arr]))
+    j = first_dominator(table, earr, quasi)
     return None if j is None else own[rows[j]]
 
 
@@ -277,9 +273,9 @@ def game_kkt(game: Game, u_bar, eps, mode: str = "thm_5_2",
     the ball-grid search with radius (1/delta)*max(eps).
     """
     # imported here: loading a game file needs no certificate code
-    from .certificates import eps_kkt_thm_4_1, kkt_check
+    from .certificates import _eps_kkt, kkt_check
 
-    u_arr, checked = _checked_profile(game, u_bar)
+    u_arr, tables = _checked_profile(game, u_bar)
     if mode not in ("thm_5_1", "thm_5_2"):
         raise GameError(f"unknown mode {mode!r}")
     if mode == "thm_5_1" and (delta is None or not delta > 0):
@@ -287,19 +283,18 @@ def game_kkt(game: Game, u_bar, eps, mode: str = "thm_5_2",
 
     earrs = [nonzero_epsilon(eps, len(pl.objectives)) for pl in game.players]
     if mode == "thm_5_2":
-        dev = _first_deviation(game, checked, eps, quasi=True)
+        dev = _first_deviation(game, tables, eps, quasi=True)
         if dev is not None:
             raise PremiseError(f"player {dev[0]}: profile is not a weak eps-quasi equilibrium "
                                f"on its grid: strategy {dev[1].tolist()} dominates it")
     outcomes = []
-    for i, earr in enumerate(earrs):
+    for i, (earr, table) in enumerate(zip(earrs, tables)):
         prob = fix_opponents(game, i, u_arr)
-        ui = game.block(i, u_arr)
         if mode == "thm_5_2":
-            outcomes.append(PlayerOutcome(player=i, report=kkt_check(prob, ui, cor41_eps=earr)))
+            report = kkt_check(prob, game.block(i, u_arr), cor41_eps=earr)
+            outcomes.append(PlayerOutcome(player=i, report=report))
         else:
-            search = eps_kkt_thm_4_1(prob, ui, earr, delta, player_spec(game, i))
-            outcomes.append(PlayerOutcome(player=i, search=search))
+            outcomes.append(PlayerOutcome(player=i, search=_eps_kkt(prob, table, earr, delta)))
     return outcomes
 
 
@@ -312,19 +307,18 @@ class GameSufficiencyReport:
 
 def game_sufficiency(game: Game, u_bar, eps) -> GameSufficiencyReport:
     """Thm 4.3 per player: ``sufficiency_thm_4_3`` on each player's MIOP
-    with the opponents fixed at u_bar, over that player's grid.  A player
+    with the opponents fixed at u_bar, over that player's table.  A player
     holds only after its grid check, which asks what ``is_w_eps_qne`` asks
     of it (a counterexample there raises), so when every player holds the
     profile is a weak eps-quasi equilibrium.  The verdict is ``inconclusive`` if some player's is,
     else ``hypothesis-failed`` if some player's is, else ``holds``."""
-    from .certificates import sufficiency_thm_4_3
+    from .certificates import _sufficiency
 
-    u_arr = _checked_profile(game, u_bar)[0]
+    u_arr, tables = _checked_profile(game, u_bar)
     per_player, verdicts = [], set()
-    for i in range(game.n_players):
-        earr = as_epsilon(eps, len(game.players[i].objectives))
-        rep = sufficiency_thm_4_3(fix_opponents(game, i, u_arr), game.block(i, u_arr), earr,
-                                  player_spec(game, i))
+    for i, table in enumerate(tables):
+        earr = nonzero_epsilon(eps, len(game.players[i].objectives))
+        rep = _sufficiency(fix_opponents(game, i, u_arr), table, earr)
         if rep.kkt is None:
             label = "inexact"
         elif not rep.kkt.holds:

@@ -5,7 +5,8 @@ Every domination question over a value table goes through one exact
 kernel, ``dominated_by``: table row j dominates row i when
 c_k(j) + s_k/2 < c_k(i) and w_k(j) + s_k/2 < w_k(i) for every objective k,
 with the shift s_k = eps_k, or eps_k * ||z_j - z_i|| for the quasi
-variant.  ``dominated`` answers "has row i any dominator?" for many rows
+variant.  ``first_dominator`` asks it of a table's last row, the queried
+point.  ``dominated`` answers "has row i any dominator?" for many rows
 at once.  It runs the kernel on every candidate it tries, so it never
 approximates; two prefilters only decide which candidates to try:
 
@@ -172,6 +173,10 @@ class ValueTable:
         pos = np.minimum(np.searchsorted(sorted_keys, want), len(sorted_keys) - 1)
         return order[pos], sorted_keys[pos] == want
 
+    def take(self, rows) -> "ValueTable":
+        """The table of the given rows, in their order."""
+        return ValueTable(self.points[rows], self.centers[:, rows], self.widths[:, rows])
+
 
 class IntervalError(ValueError):
     """An objective's interval is invalid (lower > upper) or has a
@@ -237,19 +242,13 @@ def dominated_by(table: ValueTable, i, eps: np.ndarray, j=slice(None), *,
     return np.all(shifted < vi if strict else shifted <= vi, axis=(-2, -1))
 
 
-def first_dominator(table: ValueTable, row: ValueTable, eps: np.ndarray,
-                    quasi: bool = False) -> int | None:
-    """The index of the first row of table that strictly CW-dominates the
-    one row of ``row`` after the handicap of ``dominated_by``, or None.
-    That row need not be in the table: it joins it as the last row, and
-    ``dominated_by`` compares it with every other.  With eps = 0 a None
-    is weak minimality, otherwise weak eps- or weak eps-quasi-minimality
-    over the table's points, and a row index is the witness against it."""
-    n = len(table.points)
-    joined = ValueTable(np.vstack([table.points, row.points]),
-                        np.hstack([table.centers, row.centers]),
-                        np.hstack([table.widths, row.widths]))
-    hits = np.flatnonzero(dominated_by(joined, n, eps, slice(0, n), quasi=quasi))
+def first_dominator(table: ValueTable, eps: np.ndarray, quasi: bool = False) -> int | None:
+    """The index of the first row of table that strictly CW-dominates its
+    last row, the queried point, after the handicap of ``dominated_by``, or
+    None.  With eps = 0 a None is weak minimality, otherwise weak eps- or
+    weak eps-quasi-minimality over the other rows, and a row the witness."""
+    n = len(table.points) - 1
+    hits = np.flatnonzero(dominated_by(table, n, eps, slice(0, n), quasi=quasi))
     return int(hits[0]) if hits.size else None
 
 
@@ -368,17 +367,12 @@ def check_thm_3_3(problem: MIOProblem, u_bar: Sequence[float], eps, spec: GridSp
     u_bar is weak eps-quasi-minimal on the grid."""
     earr = nonzero_epsilon(eps, problem.n_objectives)
     require_feasible(problem, u_bar)
-    table = value_table(problem, feasible_grid(problem, spec))
-    u_arr = np.asarray(u_bar, dtype=float)
-    bar = value_table(problem, [u_arr])
+    # u_bar is the last row; at distance 0 from itself it is never a witness
+    table = value_table(problem, np.vstack([feasible_grid(problem, spec), u_bar]))
     merit = np.sum(table.centers + table.widths, axis=0)
-    merit_bar = sum(c + w for c, w in zip(bar.centers[:, 0], bar.widths[:, 0]))
-    dists = distances(table.points, u_arr)
-    lhs = merit + float(np.sum(earr)) * dists
-    bad = lhs < merit_bar
-    if np.any(bad):
-        j = int(np.flatnonzero(bad)[0])
-        return Thm33Verdict(False, table.points[j].tolist(), False)
+    lhs = merit + float(np.sum(earr)) * distances(table.points, table.points[-1])
+    bad = np.flatnonzero(lhs < merit[-1])
+    if bad.size:
+        return Thm33Verdict(False, table.points[bad[0]].tolist(), False)
     # conclusion: u_bar in QM(F, grid, eps)
-    ok = first_dominator(table, bar, earr, quasi=True) is None
-    return Thm33Verdict(True, None, ok)
+    return Thm33Verdict(True, None, first_dominator(table, earr, quasi=True) is None)

@@ -19,6 +19,28 @@ def make_problem(dim, objectives, constraints, box_lo, box_hi, name=""):
                       box_lo=tuple(box_lo), box_hi=tuple(box_hi), name=name)
 
 
+def count_calls(monkeypatch, name: str) -> list:
+    """The argument tuples of every call of the miopt function name, which
+    is replaced in every miopt module namespace that holds it."""
+    import importlib
+    import sys
+
+    for mod in ("expr", "grid", "certificates", "game", "cli"):
+        importlib.import_module(f"miopt.{mod}")
+    modules = [mod for mod_name, mod in sys.modules.items() if mod_name.startswith("miopt.")]
+    orig = next(getattr(mod, name) for mod in modules if hasattr(mod, name))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for mod in modules:
+        if getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
 @pytest.fixture
 def abs_problem():
     """Two abs-type interval objectives with linear constraints; the

@@ -270,7 +270,7 @@ def test_thm_3_3_off_grid_point_equals_scalar_predicate():
         assert verdict.hypothesis_holds
         assert verdict.conclusion_verified == is_weak_eps_quasi_minimal(prob, [u], 10.0, pts)
         # the point query over the same grid gives the same answer
-        row = first_dominator(value_table(prob, pts), value_table(prob, [[u]]), np.full(1, 10.0),
+        row = first_dominator(value_table(prob, np.vstack([pts, [u]])), np.full(1, 10.0),
                               quasi=True)
         assert verdict.conclusion_verified == (row is None)
 
@@ -296,11 +296,12 @@ def point_query_case(data):
 def test_point_query_equals_scalar_predicates(data):
     prob, u, cands, eps, quasi = point_query_case(data)
     scalar = is_weak_eps_quasi_minimal if quasi else is_weak_eps_minimal
-    table, at_u = value_table(prob, cands), value_table(prob, [u])
-    assert (first_dominator(table, at_u, eps, quasi) is None) == scalar(prob, u, eps, cands)
+    # the queried point is the table's last row
+    table = value_table(prob, list(cands) + [u])
+    assert (first_dominator(table, eps, quasi) is None) == scalar(prob, u, eps, cands)
     if not np.any(eps):
         zero = np.zeros(prob.n_objectives)
-        assert (first_dominator(table, at_u, zero) is None) == is_weak_minimal(prob, u, cands)
+        assert (first_dominator(table, zero) is None) == is_weak_minimal(prob, u, cands)
 
 
 @settings(max_examples=200, deadline=None)
@@ -311,7 +312,7 @@ def test_point_query_returns_the_first_scalar_dominator(data):
     want = next((k for k, z in enumerate(cands)
                  if _dominates(prob, z, u_cw, eps * float(distances(z, u)) if quasi else eps)),
                 None)
-    assert first_dominator(value_table(prob, cands), value_table(prob, [u]), eps, quasi) == want
+    assert first_dominator(value_table(prob, list(cands) + [u]), eps, quasi) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -415,9 +416,27 @@ def test_invalid_interval_at_a_sequence_tail_point_exits_3(off_grid_invalid_file
 
 
 def test_invalid_interval_at_the_queried_point_exits_3(off_grid_invalid_file, capsys):
-    assert main(["verify", "--problem", off_grid_invalid_file, "--point=0.301",
-                 "--concept=weak-min"]) == 3
-    assert "IVF invalid at [0.301]" in capsys.readouterr().err
+    # each point check evaluates its grid and the point as one table
+    for argv in (["verify", "--concept=weak-min"], ["thm33", "--eps=0.1"],
+                 ["epskkt", "--eps=0.1", "--delta=0.5"], ["sufficiency", "--eps=0.1"],
+                 ["genconvex"]):
+        assert main(argv[:1] + ["--problem", off_grid_invalid_file, "--point=0.301"]
+                    + argv[1:]) == 3, argv
+        assert "IVF invalid at [0.301]" in capsys.readouterr().err
+
+
+def test_sufficiency_refuses_an_invalid_interval_before_its_stages(tmp_path, capsys):
+    # F is no interval at u = 0.35 only, where the KKT stage fails (residual
+    # 0.5): the table of grid and point is built before any stage runs
+    doc = {"dim": 1, "objectives": [{"lower": "1.01 - 1000*(u0-0.35)^2 + 2*u0 - 0.7",
+                                     "upper": "1 + 3*u0 - 1.05"}],
+           "box": {"lo": [0], "hi": [1]}, "grid": {"points_per_dim": 11}}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    assert main(["kkt", "--problem", str(path), "--point=0.35"]) == 1
+    capsys.readouterr()
+    assert main(["sufficiency", "--problem", str(path), "--point=0.35", "--eps=0.1"]) == 3
+    assert "IVF invalid at [0.35]" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

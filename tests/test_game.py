@@ -10,6 +10,7 @@ from miopt import (Game, GameError, IVFunction, Player, eval_expr,
                    parse_expr)
 from miopt.certificates import PremiseError
 from miopt.game import first_deviation, game_kkt, game_sufficiency, profile_feasible
+from .conftest import count_calls
 
 
 def make_player(dim_total, objectives, constraints, box_lo, box_hi, ppd=None):
@@ -296,31 +297,9 @@ def test_game_sufficiency_hypothesis_failed(quad_game):
     assert rep.verdict == "hypothesis-failed"
 
 
-def _count_calls(monkeypatch, name: str) -> list:
-    """Count the calls of the miopt function name, replaced in every
-    miopt module namespace that holds it."""
-    import importlib
-    import sys
-
-    for mod in ("expr", "grid", "certificates", "game"):
-        importlib.import_module(f"miopt.{mod}")
-    modules = [mod for mod_name, mod in sys.modules.items() if mod_name.startswith("miopt.")]
-    orig = next(getattr(mod, name) for mod in modules if hasattr(mod, name))
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return orig(*args, **kwargs)
-
-    for mod in modules:
-        if getattr(mod, name, None) is orig:
-            monkeypatch.setattr(mod, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("query", [is_w_eps_ne, is_w_eps_qne, first_deviation])
 def test_equilibrium_queries_evaluate_each_player_once(monkeypatch, constrained_game, query):
-    counts = {name: _count_calls(monkeypatch, name)
+    counts = {name: count_calls(monkeypatch, name)
               for name in ("fix_opponents", "endpoint_values", "feasible_grid", "value_table")}
     query(constrained_game, [0.5, 0.0, 0.0], 0.01)
     assert {name: len(calls) for name, calls in counts.items()} == \
@@ -328,7 +307,7 @@ def test_equilibrium_queries_evaluate_each_player_once(monkeypatch, constrained_
 
 
 def test_game_kkt_checks_the_profile_once(monkeypatch, quad_game):
-    counts = {name: _count_calls(monkeypatch, name)
+    counts = {name: count_calls(monkeypatch, name)
               for name in ("fix_opponents", "_checked_profile", "endpoint_values")}
     game_kkt(quad_game, [0.5, 0.5], 0.1)
     # thm_5_2 reads its premise from the checked values: one problem per
@@ -338,13 +317,28 @@ def test_game_kkt_checks_the_profile_once(monkeypatch, quad_game):
 
 
 def test_game_sufficiency_builds_each_player_problem_and_grid_once(monkeypatch, quad_game):
-    counts = {name: _count_calls(monkeypatch, name)
+    counts = {name: count_calls(monkeypatch, name)
               for name in ("fix_opponents", "weak_gen_gradient", "feasible_grid")}
     assert game_sufficiency(quad_game, [0.5, 0.5], 0.1).verdict == "holds"
-    # per player: one problem, one grid, and one objective polytope each
-    # for the KKT check and the convexity check
+    # per player: one problem, and one objective polytope each for the KKT
+    # check and the convexity check; the grid is the profile check's
     assert {name: len(calls) for name, calls in counts.items()} == \
-        {"fix_opponents": 2, "weak_gen_gradient": 4, "feasible_grid": 2}
+        {"fix_opponents": 2, "weak_gen_gradient": 4, "feasible_grid": 0}
+
+
+@pytest.mark.parametrize("query", [
+    lambda g: game_kkt(g, [0.5, 0.5], 0.1),
+    lambda g: game_kkt(g, [0.5, 0.5], 0.1, mode="thm_5_1", delta=0.4),
+    lambda g: game_sufficiency(g, [0.5, 0.5], 0.1),
+], ids=["kkt-thm_5_2", "kkt-thm_5_1", "sufficiency"])
+def test_game_certificates_evaluate_each_player_once(monkeypatch, quad_game, query):
+    counts = {name: count_calls(monkeypatch, name)
+              for name in ("endpoint_values", "feasible_grid", "value_table")}
+    query(quad_game)
+    assert {name: len(calls) for name, calls in counts.items()} == \
+        {"endpoint_values": 2, "feasible_grid": 0, "value_table": 0}
+    # each over the player's 101 grid points and the profile, in its last row
+    assert [len(pts) for _, pts in counts["endpoint_values"]] == [102, 102]
 
 
 @pytest.fixture

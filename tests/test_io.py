@@ -5,15 +5,16 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import miopt
-from miopt import Game, MIOProblem, eval_expr, find_deviation
+from miopt import Game, IVFunction, MIOProblem, eval_expr, find_deviation, parse_expr
 from miopt.cli import build_parser, main
 from miopt.game import first_deviation
 from miopt.io import (SchemaError, game_from_dict, load, problem_from_dict,
                       save, serialize)
-from .conftest import ABS_PROBLEM_JSON, QUAD_GAME_JSON
+from .conftest import ABS_PROBLEM_JSON, QUAD_GAME_JSON, count_calls
 
 
 def test_load_problem_file(abs_problem_file):
@@ -407,6 +408,26 @@ def test_cli_infeasible_point_message_prints_plain_floats(tmp_path, capsys):
                  ["seqkkt", "--xs=1;0.5;0.25", "--eps-seq=1,0.25"]):
         assert main(argv[:1] + ["--problem", str(path), "--point", "0"] + argv[1:]) == 3, argv
         assert capsys.readouterr().err == "error: point [0.0] is infeasible\n"
+
+
+def test_point_messages_print_plain_floats_for_arrays(abs_problem_file, capsys):
+    # an off-grid start of the descent engines, parsed to an array
+    for argv in (["exist", "--start=0.3333"], ["evp", "--x0=0.3333"]):
+        assert main(argv[:1] + ["--problem", abs_problem_file, "--eps=0.1"] + argv[1:]) == 3
+        assert capsys.readouterr().err == ("error: point [0.3333] is not on the feasible grid "
+                                           "(nearest grid point at distance 0.0033)\n")
+    f = IVFunction(parse_expr("u0", 1), parse_expr("0", 1), 1)
+    with pytest.raises(ValueError, match=r"^IVF invalid at \[1\.0\]: lower 1\.0 > upper 0\.0$"):
+        f.value(np.array([1.0]))
+
+
+def test_cli_verify_evaluates_grid_and_point_once(monkeypatch, abs_problem_file):
+    calls = count_calls(monkeypatch, "endpoint_values")
+    assert main(["verify", "--problem", abs_problem_file, "--point", "0",
+                 "--concept", "weak-min"]) == 0
+    # the load's validity check over the 401 grid points, then one table:
+    # the 201 feasible points with the queried point as the last row
+    assert [len(pts) for _, pts in calls] == [401, 202]
 
 
 @pytest.mark.parametrize("argv", [
