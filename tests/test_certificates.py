@@ -240,6 +240,17 @@ def _assert_nearest_point(res, obj, con, tol):
         assert ny - float(np.linalg.norm(y + t * d)) <= tol, (d, t)
 
 
+def test_nearest_point_check_refuses_a_wrong_answer():
+    # y = (1, 0) on co{(1, 0), (0, 1)}: the segment to (0, 1) passes
+    # (0.5, 0.5), 0.29 closer to the origin
+    obj = [Polytope(2, ((1.0, 0.0), (0.0, 1.0)), True)]
+    res = min_norm_over_multipliers(obj, [], mu_max=np.inf)
+    _assert_nearest_point(res, obj, [], 1e-9)
+    wrong = dataclasses.replace(res, residual=1.0, obj_witnesses=[np.array([1.0, 0.0])])
+    with pytest.raises(AssertionError):
+        _assert_nearest_point(wrong, obj, [], 1e-9)
+
+
 # ---------------------------------------------------------------------------
 # KKT / BCQ
 # ---------------------------------------------------------------------------
@@ -369,7 +380,8 @@ def _segment_objective(p, q):
 
 
 def test_kkt_fails_where_rounding_hides_the_separating_step():
-    # a draw of the test below: b = (1 + 1e-8, 1e-8).  Adding generator
+    # a draw of the test below, where kkt_check's LDP bound is
+    # b = cor41_eps + tau_solver = (1 + 1e-8, 1e-8).  Adding generator
     # (-2, 1) to the least-distance program lowers ||r||^2 by 1e-17, below
     # its rounding; without that step the residual's direction does not
     # separate, and the verdict was inconclusive though every lam misses
