@@ -31,7 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .expr import Polytope, clarke_subdiff, eval_expr, eval_points, weak_gen_gradient
-from .grid import GridSpec, ValueTable, feasible_grid, first_dominator, value_table
+from .grid import (GridSpec, IntervalError, ValueTable, feasible_grid, first_dominator,
+                   value_table)
 from .problem import (CertificateError, MIOProblem, PremiseError, active_set, as_epsilon,
                       distances, nonzero_epsilon, require_feasible, restrict_to_ball)
 
@@ -52,13 +53,12 @@ def nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, int]:
     the residual, if positively; it is refused when its least-squares
     coefficient is not positive.  Every accepted step lowers the
     residual, so no passive set repeats and the loop ends; in floating
-    point up to n steps in a row may leave it equal or above it by its
-    rounding instead (a gain below the rounding can still turn the
-    residual's direction).  A^T (f - A x) rounds relative to ||f||: if
-    its best entry is within that rounding of 0 and ||r|| above it, it is
-    recomputed once from a basis of r's subspace, which rounds relative
-    to ||r||.  A QR refit on the unscaled columns of the final support
-    (not counted) ends the solve."""
+    point up to n steps in a row may leave it equal instead (a gain below
+    its rounding that later steps can realize).  A^T (f - A x) rounds
+    relative to ||f||: if its best entry is within that rounding of 0 and
+    ||r|| above it, it is recomputed once from a basis of r's subspace,
+    which rounds relative to ||r||.  A QR refit on the unscaled columns
+    of the final support (not counted) ends the solve."""
     n = E.shape[1]
     norms = np.sqrt((E * E).sum(axis=0))
     norms[norms == 0.0] = 1.0
@@ -99,8 +99,8 @@ def nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, int]:
             solves += 1
         r = f - A @ z
         rr = float(r @ r)
-        ties = ties + 1 if rr >= best else 0
-        if not rr <= best + 2.0 * floor * math.sqrt(best) or ties > n:
+        ties = ties + 1 if rr == best else 0
+        if not rr <= best or ties > n:
             break
         x, passive, best, dual = z, trial, rr, A.T @ r
         tol, recomputed = floor, False
@@ -479,15 +479,25 @@ def sufficiency_thm_4_3(problem: MIOProblem, u_bar, eps, spec: GridSpec) -> Suff
     earr = nonzero_epsilon(eps, problem.n_objectives)
     require_feasible(problem, u_bar)
     # the grid every stage decides on; its table checks every interval first
-    table = value_table(problem, np.vstack([feasible_grid(problem, spec), u_bar]))
-    return _sufficiency(problem, table, earr)
+    at = np.vstack([feasible_grid(problem, spec), u_bar])
+    try:
+        table = value_table(problem, at)
+    except IntervalError as exc:
+        if exc.row < len(at) - 1:
+            raise
+        table = exc
+    return _sufficiency(problem, at[-1], table, earr)
 
 
-def _sufficiency(problem: MIOProblem, table: ValueTable, earr) -> SufficiencyReport:
-    """``sufficiency_thm_4_3`` on the table of the grid with u_bar as its last row."""
-    kkt = kkt_check(problem, table.points[-1], cor41_eps=earr)
+def _sufficiency(problem: MIOProblem, u_bar, table, earr) -> SufficiencyReport:
+    """``sufficiency_thm_4_3`` at u_bar on the table of the grid with u_bar
+    as its last row, or on the IntervalError of u_bar's row alone, which
+    the convexity stage raises, as the first stage to read its values."""
+    kkt = kkt_check(problem, u_bar, cor41_eps=earr)
     if not kkt.exact:
         return SufficiencyReport("inconclusive", None, None, None)
+    if kkt.holds and isinstance(table, IntervalError):
+        raise table
     # a hypothesis fails only where a stage certifies it: a separating
     # witness for the KKT check, a Farkas vector for generalized convexity
     gc = _gen_convexity(problem, table) if kkt.holds else None

@@ -106,12 +106,8 @@ def fix_opponents(game: Game, i: int, u_bar: Sequence[float]) -> MIOProblem:
         raise GameError(f"no player {i}")
     pl = game.players[i]
     start = game.block_start(i)
-    mapping: dict[int, Expr] = {}
-    for j in range(game.profile_dim):
-        if start <= j < start + pl.dim:
-            mapping[j] = Var(j - start)
-        else:
-            mapping[j] = Const(float(u_arr[j]))
+    mapping: dict[int, Expr] = {j: Var(j - start) if start <= j < start + pl.dim
+                                else Const(float(u_arr[j])) for j in range(game.profile_dim)}
     objectives = tuple(
         IVFunction(substitute(f.lower, mapping), substitute(f.upper, mapping), pl.dim)
         for f in pl.objectives)
@@ -127,11 +123,8 @@ def profile_feasible(game: Game, u_bar: Sequence[float]) -> bool:
     tau = game.tolerances.tau_feas
     for i, pl in enumerate(game.players):
         ui = game.block(i, u_arr)
-        lo = np.asarray(pl.box_lo)
-        hi = np.asarray(pl.box_hi)
-        if np.any(ui < lo - tau) or np.any(ui > hi + tau):
-            return False
-        if any(eval_expr(g, u_arr) > tau for g in pl.constraints):
+        if (np.any(ui < np.asarray(pl.box_lo) - tau) or np.any(ui > np.asarray(pl.box_hi) + tau)
+                or any(eval_expr(g, u_arr) > tau for g in pl.constraints)):
             return False
     return True
 
@@ -318,7 +311,7 @@ def game_sufficiency(game: Game, u_bar, eps) -> GameSufficiencyReport:
     per_player, verdicts = [], set()
     for i, table in enumerate(tables):
         earr = nonzero_epsilon(eps, len(game.players[i].objectives))
-        rep = _sufficiency(fix_opponents(game, i, u_arr), table, earr)
+        rep = _sufficiency(fix_opponents(game, i, u_arr), table.points[-1], table, earr)
         if rep.kkt is None:
             label = "inexact"
         elif not rep.kkt.holds:

@@ -30,7 +30,6 @@ approximates; two prefilters only decide which candidates to try:
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -180,15 +179,12 @@ class ValueTable:
 
 class IntervalError(ValueError):
     """An objective's interval is invalid (lower > upper) or has a
-    non-finite endpoint at a point."""
+    non-finite endpoint at a point, the given row of those evaluated."""
 
-    def __init__(self, objective: int, point: list, lower: float, upper: float):
-        self.objective = objective
-        self.point = point
-        if math.isfinite(lower) and math.isfinite(upper):
-            self.detail = f"lower {lower} > upper {upper}"
-        else:
-            self.detail = f"non-finite endpoint: lower {lower}, upper {upper}"
+    def __init__(self, objective: int, point: list, lower: float, upper: float, row: int = 0):
+        self.objective, self.point, self.row = objective, point, row
+        self.detail = (f"lower {lower} > upper {upper}" if np.isfinite([lower, upper]).all()
+                       else f"non-finite endpoint: lower {lower}, upper {upper}")
         super().__init__(f"IVF invalid at {point}: {self.detail}")
 
 
@@ -203,7 +199,7 @@ def endpoint_values(objectives: Sequence[IVFunction], pts: np.ndarray) -> tuple[
     if cols.size:
         i = int(cols[0])
         k = int(np.flatnonzero(bad[:, i])[0])
-        raise IntervalError(k, pts[i].tolist(), float(lower[k, i]), float(upper[k, i]))
+        raise IntervalError(k, pts[i].tolist(), float(lower[k, i]), float(upper[k, i]), i)
     return lower, upper
 
 

@@ -379,19 +379,6 @@ def _segment_objective(p, q):
     return f"({centre}) - ({width})", f"({centre}) + ({width})"
 
 
-def test_kkt_fails_where_rounding_hides_the_separating_step():
-    # a draw of the test below, where kkt_check's LDP bound is
-    # b = cor41_eps + tau_solver = (1 + 1e-8, 1e-8).  Adding generator
-    # (-2, 1) to the least-distance program lowers ||r||^2 by 1e-17, below
-    # its rounding; without that step the residual's direction does not
-    # separate, and the verdict was inconclusive though every lam misses
-    # its radius by at least 0.7
-    polys = [[[0, -3], [-1, -2]], [[0, -1], [-2, 1]]]
-    prob = make_problem(2, [_segment_objective(*pq) for pq in polys], [], [0.0] * 2, [1.0] * 2)
-    assert kkt_check(prob, [0.5, 0.5], cor41_eps=[1.0, 0.0]).verdict == "fails"
-    assert _scan_minimum(polys, [], [1.0, 0.0]) > 0.7
-
-
 def _scan_minimum(polys, cone, eps, steps=501):
     """min over lam = (t, 1 - t) of dist(0, t P_0 + (1 - t) P_1 + cone(H))
     - lam.eps, each distance from scipy's NNLS."""

@@ -416,7 +416,8 @@ def test_invalid_interval_at_a_sequence_tail_point_exits_3(off_grid_invalid_file
 
 
 def test_invalid_interval_at_the_queried_point_exits_3(off_grid_invalid_file, capsys):
-    # each point check evaluates its grid and the point as one table
+    # each point check evaluates its grid and the point as one table; at
+    # 0.301 sufficiency's KKT stage holds, so its convexity stage reads u
     for argv in (["verify", "--concept=weak-min"], ["thm33", "--eps=0.1"],
                  ["epskkt", "--eps=0.1", "--delta=0.5"], ["sufficiency", "--eps=0.1"],
                  ["genconvex"]):
@@ -425,9 +426,10 @@ def test_invalid_interval_at_the_queried_point_exits_3(off_grid_invalid_file, ca
         assert "IVF invalid at [0.301]" in capsys.readouterr().err
 
 
-def test_sufficiency_refuses_an_invalid_interval_before_its_stages(tmp_path, capsys):
+def test_sufficiency_reads_the_points_interval_after_its_kkt_stage(tmp_path, capsys,
+                                                                   monkeypatch):
     # F is no interval at u = 0.35 only, where the KKT stage fails (residual
-    # 0.5): the table of grid and point is built before any stage runs
+    # 0.5): the convexity stage, the first to read u's values, never runs
     doc = {"dim": 1, "objectives": [{"lower": "1.01 - 1000*(u0-0.35)^2 + 2*u0 - 0.7",
                                      "upper": "1 + 3*u0 - 1.05"}],
            "box": {"lo": [0], "hi": [1]}, "grid": {"points_per_dim": 11}}
@@ -435,8 +437,14 @@ def test_sufficiency_refuses_an_invalid_interval_before_its_stages(tmp_path, cap
     path.write_text(json.dumps(doc))
     assert main(["kkt", "--problem", str(path), "--point=0.35"]) == 1
     capsys.readouterr()
-    assert main(["sufficiency", "--problem", str(path), "--point=0.35", "--eps=0.1"]) == 3
-    assert "IVF invalid at [0.35]" in capsys.readouterr().err
+    assert main(["sufficiency", "--problem", str(path), "--point=0.35", "--eps=0.1"]) == 1
+    assert capsys.readouterr().out.startswith("sufficiency: hypothesis-failed")
+    # a grid row's invalid interval is raised before any stage, also at u
+    prob = make_problem(1, [(doc["objectives"][0]["lower"].replace("0.35", "0.3")
+                             .replace("0.7", "0.6"), "1 + 3*u0 - 0.9")], [], [0.0], [1.0])
+    monkeypatch.setattr(miopt.certificates, "kkt_check", None)
+    with pytest.raises(miopt.grid.IntervalError, match=r"IVF invalid at \[0.3\]"):
+        sufficiency_thm_4_3(prob, [0.3], 0.1, GridSpec(11))
 
 
 # ---------------------------------------------------------------------------
