@@ -31,8 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .expr import Polytope, clarke_subdiff, eval_expr, eval_points, weak_gen_gradient
-from .grid import (GridSpec, IntervalError, ValueTable, feasible_grid, first_dominator,
-                   value_table)
+from .grid import GridSpec, IntervalError, ValueTable, feasible_grid, first_dominator, value_table
 from .problem import (CertificateError, MIOProblem, PremiseError, active_set, as_epsilon,
                       distances, nonzero_epsilon, require_feasible, restrict_to_ball)
 
@@ -490,9 +489,8 @@ def sufficiency_thm_4_3(problem: MIOProblem, u_bar, eps, spec: GridSpec) -> Suff
 
 
 def _sufficiency(problem: MIOProblem, u_bar, table, earr) -> SufficiencyReport:
-    """``sufficiency_thm_4_3`` at u_bar on the table of the grid with u_bar
-    as its last row, or on the IntervalError of u_bar's row alone, which
-    the convexity stage raises, as the first stage to read its values."""
+    """``sufficiency_thm_4_3`` on the table of the grid with u_bar last, or on the
+    IntervalError of u_bar's row alone: the convexity stage, the first to read it, raises it."""
     kkt = kkt_check(problem, u_bar, cor41_eps=earr)
     if not kkt.exact:
         return SufficiencyReport("inconclusive", None, None, None)

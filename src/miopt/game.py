@@ -123,8 +123,11 @@ def profile_feasible(game: Game, u_bar: Sequence[float]) -> bool:
     tau = game.tolerances.tau_feas
     for i, pl in enumerate(game.players):
         ui = game.block(i, u_arr)
-        if (np.any(ui < np.asarray(pl.box_lo) - tau) or np.any(ui > np.asarray(pl.box_hi) + tau)
-                or any(eval_expr(g, u_arr) > tau for g in pl.constraints)):
+        lo = np.asarray(pl.box_lo)
+        hi = np.asarray(pl.box_hi)
+        if np.any(ui < lo - tau) or np.any(ui > hi + tau):
+            return False
+        if any(eval_expr(g, u_arr) > tau for g in pl.constraints):
             return False
     return True
 
